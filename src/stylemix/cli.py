@@ -53,6 +53,7 @@ from .experiments import (
 )
 from .lp import export_lp
 from .solver import (
+    EXACT_SIZE_LIMIT,
     HeuristicConfig,
     SolveLimits,
     SolveReport,
@@ -64,7 +65,6 @@ from .solver import (
 __all__ = ["main", "build_parser"]
 
 SEED_ENV_VAR = "STYLEMIX_SEED"
-AUTO_EXACT_LIMIT = 24
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--auto-threshold",
         type=int,
-        default=AUTO_EXACT_LIMIT,
+        default=EXACT_SIZE_LIMIT,
         help="auto mode runs exact when articles*stores is at most this",
     )
     p.add_argument("--max-iters", type=int, default=10_000, help="heuristic move cap")

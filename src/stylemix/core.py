@@ -36,7 +36,6 @@ from .errors import (
 __all__ = [
     "Metric",
     "BigMPolicy",
-    "StyleRecord",
     "FeatureCatalog",
     "DistanceMatrix",
     "Article",
@@ -54,6 +53,20 @@ __all__ = [
 ]
 
 
+def _member_named(enum_cls, name, field_name: str):
+    """Enum member whose value matches name, ignoring case and hyphens."""
+    if not isinstance(name, str):
+        raise MalformedInputError(f"{field_name} must be a string, got {name!r}")
+    text = name.strip().lower().replace("-", "_")
+    for member in enum_cls:
+        if member.value == text:
+            return member
+    raise MalformedInputError(
+        f"unknown {field_name} {name!r}; expected one of "
+        + ", ".join(m.value for m in enum_cls)
+    )
+
+
 class Metric(Enum):
     """Pairwise dissimilarity between feature vectors.
 
@@ -66,14 +79,7 @@ class Metric(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Metric":
-        text = name.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == text:
-                return member
-        raise MalformedInputError(
-            f"unknown metric {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
+        return _member_named(cls, name, "metric")
 
 
 class BigMPolicy(Enum):
@@ -90,14 +96,12 @@ class BigMPolicy(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "BigMPolicy":
-        text = name.strip().lower()
-        for member in cls:
-            if member.value == text:
-                return member
-        raise MalformedInputError(
-            f"unknown big_m_policy {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
+        return _member_named(cls, name, "big_m_policy")
+
+
+# Largest magnitude of a parsed integer: flow capacities are 32-bit, and
+# 64-bit sums of such values cannot wrap.
+_MAX_INT = 2**31 - 1
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -133,20 +137,14 @@ def _as_exact_fraction(value) -> Fraction:
 def _as_int(value, *, field_name: str) -> int:
     if isinstance(value, bool):
         raise MalformedInputError(f"{field_name} must be an integer, got a boolean")
-    if isinstance(value, int):
-        return value
-    frac = _as_exact_fraction(value)
-    if frac.denominator != 1:
-        raise MalformedInputError(f"{field_name} must be an integer, got {value!r}")
-    return int(frac)
-
-
-@dataclass(frozen=True)
-class StyleRecord:
-    """One style: an identifier plus its feature vector."""
-
-    id: str
-    vector: tuple[float, ...]
+    if not isinstance(value, int):
+        frac = _as_exact_fraction(value)
+        if frac.denominator != 1:
+            raise MalformedInputError(f"{field_name} must be an integer, got {value!r}")
+        value = int(frac)
+    if abs(value) > _MAX_INT:
+        raise MalformedInputError(f"{field_name}={value} must lie within +-{_MAX_INT}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +200,6 @@ class FeatureCatalog:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
-
-    @property
-    def styles(self) -> tuple[StyleRecord, ...]:
-        return tuple(
-            StyleRecord(sid, tuple(float(v) for v in row))
-            for sid, row in zip(self.ids, self.vectors)
-        )
 
     def normalized(self) -> "FeatureCatalog":
         """Return a copy with every vector scaled to unit L2 norm."""
@@ -675,10 +666,13 @@ def _parse_distances_block(block, n_articles: int, base_dir: Path | None) -> Dis
             raise MalformedInputError("'distances.entries' must be an array")
         flat: list[float] = []
         for item in raw:
-            if isinstance(item, list):
-                flat.extend(float(v) for v in item)
-            else:
-                flat.append(float(item))
+            for value in item if isinstance(item, list) else [item]:
+                try:
+                    flat.append(float(value))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise MalformedInputError(
+                        f"'distances.entries' holds {value!r}, not a number"
+                    ) from exc
         return DistanceMatrix.from_flat(n, flat)
     if "catalog_ref" in block:
         ref = block["catalog_ref"]

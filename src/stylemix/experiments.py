@@ -32,6 +32,7 @@ from .core import (
 )
 from .errors import InfeasibleError, PopulationTooSmallError, VerificationError
 from .solver import (
+    EXACT_SIZE_LIMIT,
     AssignmentPattern,
     CutCertificate,
     EdgeCertificate,
@@ -61,10 +62,6 @@ __all__ = [
     "demo_instance",
     "EXACT_SIZE_LIMIT",
 ]
-
-# Largest n_articles * n_stores for which the comparison uses the exact
-# solver; larger instances fall back to the heuristic.
-EXACT_SIZE_LIMIT = 24
 
 
 def synthetic_population(size: int, dim: int = 16, seed: int = 0) -> FeatureCatalog:

@@ -19,6 +19,9 @@ from scipy.sparse.csgraph import maximum_flow
 
 __all__ = ["Edge", "CirculationResult", "feasible_circulation", "cut_violation"]
 
+# scipy's maximum_flow stores capacities as 32-bit integers.
+_MAX_CAPACITY = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -55,6 +58,10 @@ def feasible_circulation(n_nodes: int, edges: list[Edge]) -> CirculationResult:
     Returns:
         CirculationResult with per-edge flows or the residual-reachable
         node set for certificate extraction.
+
+    Raises:
+        ValueError: Parallel edges, invalid bounds, or a capacity or node
+            imbalance still above 2**31 - 1 after capping.
     """
     seen_pairs = set()
     for e in edges:
@@ -67,18 +74,35 @@ def feasible_circulation(n_nodes: int, edges: list[Edge]) -> CirculationResult:
                 f"edge {pair} has invalid bounds [{e.lower}, {e.cap}]"
             )
 
+    # No edge carries more than can enter its tail or leave its head. A
+    # cap one above the smaller of the two is never reached, so verdicts
+    # and certificate cuts stay the same while capacities stay small. An
+    # uncapped edge counts as `big`, more than all finite caps together.
     big = 1 + sum(e.lower for e in edges) + sum(
         e.cap for e in edges if e.cap is not None
     )
+    caps = [big if e.cap is None else e.cap for e in edges]
+    into, out_of, balance = [0] * n_nodes, [0] * n_nodes, [0] * n_nodes
+    for e, c in zip(edges, caps):
+        into[e.head] += c
+        out_of[e.tail] += c
+        balance[e.head] += e.lower
+        balance[e.tail] -= e.lower
+    residual_caps = [
+        max(e.lower, min(c, 1 + into[e.tail], 1 + out_of[e.head])) - e.lower
+        for e, c in zip(edges, caps)
+    ]
+    if max(residual_caps + [abs(b) for b in balance], default=0) > _MAX_CAPACITY:
+        raise ValueError(
+            f"flow capacities exceed {_MAX_CAPACITY}, the largest the "
+            "max-flow solver accepts"
+        )
+
     n_total = n_nodes + 2
     ss, tt = n_nodes, n_nodes + 1
     cap = np.zeros((n_total, n_total), dtype=np.int64)
-    balance = np.zeros(n_nodes, dtype=np.int64)
-    for e in edges:
-        residual_cap = big if e.cap is None else e.cap - e.lower
+    for e, residual_cap in zip(edges, residual_caps):
         cap[e.tail, e.head] = residual_cap
-        balance[e.head] += e.lower
-        balance[e.tail] -= e.lower
     required = 0
     for v in range(n_nodes):
         if balance[v] > 0:

@@ -44,10 +44,10 @@ from .errors import (
     Violation,
 )
 from .flow import Edge, cut_violation, feasible_circulation
-from .lp import LinearizationVars, export_lp
 from .variety import VarietyMeasure, variety
 
 __all__ = [
+    "EXACT_SIZE_LIMIT",
     "AssignmentPattern",
     "CutCertificate",
     "EdgeCertificate",
@@ -56,7 +56,6 @@ __all__ = [
     "SolveLimits",
     "HeuristicConfig",
     "SolveReport",
-    "LinearizationVars",
     "quantity_feasible",
     "plan_from_quantities",
     "evaluate_plan",
@@ -64,7 +63,6 @@ __all__ = [
     "solve_exact",
     "solve_heuristic",
     "improve_plan",
-    "export_lp",
 ]
 
 OBJECTIVE_TOLERANCE = 1e-9
@@ -485,12 +483,15 @@ def _usable_articles(instance: DistributionInstance, t: int) -> list[int]:
     ]
 
 
-def _store_candidates(instance: DistributionInstance, t: int) -> list[tuple[tuple[int, ...], float]]:
+def _store_candidates(
+    instance: DistributionInstance, t: int, deadline: float | None = None
+) -> list[tuple[tuple[int, ...], float]]:
     """All admissible style subsets for one store with their varieties.
 
     Admissible means: at least two styles, the forced minimum shipments
     fit under the store's upper band, and the combined per-pair caps can
-    still cover its lower band.
+    still cover its lower band. Raises BudgetExceededError once the
+    ``time.perf_counter`` value ``deadline`` has passed.
     """
     usable = _usable_articles(instance, t)
     lb, ub = instance.lower_band(t), instance.upper_band(t)
@@ -500,6 +501,11 @@ def _store_candidates(instance: DistributionInstance, t: int) -> list[tuple[tupl
     out: list[tuple[tuple[int, ...], float]] = []
     for size in range(2, len(usable) + 1):
         for combo in itertools.combinations(usable, size):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise BudgetExceededError(
+                    "time budget ran out while listing the style subsets of "
+                    f"store {instance.stores[t].id!r}"
+                )
             idx = np.asarray(combo, dtype=np.intp)
             if int(mins[idx].sum()) > ub:
                 continue
@@ -510,14 +516,9 @@ def _store_candidates(instance: DistributionInstance, t: int) -> list[tuple[tupl
     return out
 
 
-def _flat_y_key(columns: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
-    """Row-major flattening of y for lexicographic comparisons."""
-    s = len(columns)
-    y = np.zeros((n, s), dtype=np.int8)
-    for t, members in enumerate(columns):
-        for i in members:
-            y[i, t] = 1
-    return tuple(int(v) for v in y.reshape(-1))
+# Largest n_articles * n_stores for which auto mode and the baseline
+# comparison use solve_exact; larger instances go to the heuristic.
+EXACT_SIZE_LIMIT = 24
 
 
 def solve_exact(
@@ -527,80 +528,66 @@ def solve_exact(
     """Enumerate assignment patterns to find the best feasible plan.
 
     Depth-first search assigns each store an admissible style subset,
-    pruning on per-article capacity for the forced minimums and on an
-    optimistic objective bound. Complete patterns go through the flow
-    feasibility check. Among objective ties (within 1e-12) the plan with
-    the lexicographically smallest row-major y wins.
+    trying each store's subsets best-first (descending variety) and
+    cutting a store's remaining subsets as soon as even the best
+    completion would fall below the incumbent. Subsets whose forced
+    minimums exceed an article's remaining planned total are skipped.
+    Complete patterns go through the flow feasibility check. Among
+    objective ties (within 1e-12) the plan with the lexicographically
+    smallest row-major y wins, so the result does not depend on the
+    visiting order.
 
-    A quick heuristic run seeds the pruning bound; it cannot change the
-    reported optimum, only the search speed.
+    ``limits.time_budget`` is checked while listing candidate subsets
+    and on entry to every search node; ``limits.max_patterns`` caps
+    the flow-checked patterns. A budget that runs out after the search
+    found a feasible plan returns that plan with status
+    FEASIBLE_HEURISTIC.
 
     Raises:
         ValidationError: Invalid instance.
         InfeasibleError: No pattern admits feasible quantities.
         BudgetExceededError: Budget exhausted before any feasible plan
-            was found. If one was found, the report is returned instead
-            with status FEASIBLE_HEURISTIC.
+            was found.
     """
     ensure_valid(instance)
     limits = limits or SolveLimits()
     started = time.perf_counter()
+    deadline = None if limits.time_budget is None else started + limits.time_budget
     n, s = instance.n_articles, instance.n_stores
 
-    candidates = [_store_candidates(instance, t) for t in range(s)]
-    for t, options in enumerate(candidates):
+    candidates = []
+    for t in range(s):
+        options = _store_candidates(instance, t, deadline)
         if not options:
             raise InfeasibleError(
                 f"store {instance.stores[t].id!r} has no admissible style subset"
             )
+        candidates.append(sorted(options, key=lambda option: -option[1]))
 
     suffix_best = [0.0] * (s + 1)
     for t in range(s - 1, -1, -1):
-        best_here = max(value for _, value in candidates[t])
-        suffix_best[t] = suffix_best[t + 1] + best_here
+        suffix_best[t] = suffix_best[t + 1] + candidates[t][0][1]
 
-    seed_plan: DistributionPlan | None = None
-    seed_bound = -math.inf
-    if s > 0:
-        try:
-            seed_report = solve_heuristic(
-                instance, HeuristicConfig(seed=0, max_iters=2000, restarts=4)
-            )
-            seed_plan = seed_report.plan
-            seed_bound = seed_plan.objective - 2 * _TIE_TOLERANCE
-        except InfeasibleError:
-            seed_plan = None
-
-    mins = instance.min_quantities()
-    planned = instance.planned_totals()
+    mins = [int(v) for v in instance.min_quantities()]
+    remaining = [int(v) for v in instance.planned_totals()]
 
     best_value = -math.inf
-    best_columns: list[tuple[int, ...]] | None = None
-    best_key: tuple[int, ...] | None = None
+    best_key: bytes | None = None
     best_x: np.ndarray | None = None
     checked = 0
     trace: list[tuple[int, float]] = []
     chosen: list[tuple[int, ...]] = []
-    remaining = planned.copy()
     out_of_budget = False
     last_certificate = None
 
-    def bound() -> float:
-        return max(best_value, seed_bound)
-
     def dfs(t: int, partial: float) -> None:
-        nonlocal best_value, best_columns, best_key, best_x, checked
+        nonlocal best_value, best_key, best_x, checked
         nonlocal out_of_budget, last_certificate
-        if out_of_budget:
+        if deadline is not None and time.perf_counter() > deadline:
+            out_of_budget = True
             return
         if t == s:
             if limits.max_patterns is not None and checked >= limits.max_patterns:
-                out_of_budget = True
-                return
-            if (
-                limits.time_budget is not None
-                and time.perf_counter() - started > limits.time_budget
-            ):
                 out_of_budget = True
                 return
             checked += 1
@@ -609,55 +596,41 @@ def solve_exact(
             if not result.feasible:
                 last_certificate = result.certificate
                 return
-            key = _flat_y_key(chosen, n)
-            if partial > best_value + _TIE_TOLERANCE:
-                accept = True
-            elif (
-                best_key is not None
-                and partial >= best_value - _TIE_TOLERANCE
-                and key < best_key
+            key = pattern.y.tobytes()
+            if (
+                best_key is None
+                or partial > best_value + _TIE_TOLERANCE
+                or (partial >= best_value - _TIE_TOLERANCE and key < best_key)
             ):
-                accept = True
-            elif best_key is None:
-                accept = True
-            else:
-                accept = False
-            if accept:
                 if partial > best_value:
                     trace.append((checked, partial))
                 best_value = max(best_value, partial)
-                best_columns = list(chosen)
                 best_key = key
                 best_x = result.x
             return
-        if partial + suffix_best[t] < bound() - _TIE_TOLERANCE:
-            return
         for combo, value in candidates[t]:
-            if partial + value + suffix_best[t + 1] < bound() - _TIE_TOLERANCE:
+            if partial + value + suffix_best[t + 1] < best_value - _TIE_TOLERANCE:
+                break
+            if any(remaining[i] < mins[i] for i in combo):
                 continue
-            idx = np.asarray(combo, dtype=np.intp)
-            if np.any(remaining[idx] < mins[idx]):
-                continue
-            remaining[idx] -= mins[idx]
+            for i in combo:
+                remaining[i] -= mins[i]
             chosen.append(combo)
             dfs(t + 1, partial + value)
             chosen.pop()
-            remaining[idx] += mins[idx]
+            for i in combo:
+                remaining[i] += mins[i]
             if out_of_budget:
                 return
 
     dfs(0, 0.0)
     elapsed = time.perf_counter() - started
 
-    if best_columns is not None:
+    if best_x is not None:
         plan = plan_from_quantities(instance, best_x)
         status = SolveStatus.FEASIBLE_HEURISTIC if out_of_budget else SolveStatus.OPTIMAL
         return SolveReport(plan, status, checked, elapsed, tuple(trace))
     if out_of_budget:
-        if seed_plan is not None:
-            return SolveReport(
-                seed_plan, SolveStatus.FEASIBLE_HEURISTIC, checked, elapsed, None
-            )
         raise BudgetExceededError(
             f"no feasible plan within budget ({checked} patterns checked)"
         )

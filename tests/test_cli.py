@@ -5,6 +5,8 @@ captured streams. Byte-determinism and the module entry point go
 through real subprocesses because that is the contract users see.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,8 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stylemix.cli import AUTO_EXACT_LIMIT, build_parser, main
+from stylemix.cli import build_parser, main
 from stylemix.core import (
     Article,
     DistanceMatrix,
@@ -22,7 +26,7 @@ from stylemix.core import (
     Store,
     instance_to_json,
 )
-from stylemix.experiments import demo_instance
+from stylemix.experiments import EXACT_SIZE_LIMIT, demo_instance
 
 
 def _write_instance(path, instance):
@@ -39,6 +43,16 @@ def _line_instance():
         alpha=Fraction(0),
         distances=DistanceMatrix(d),
     )
+
+
+def _line_payload_with(path, value):
+    """The line instance's JSON with the field at ``path`` set to ``value``."""
+    payload = json.loads(instance_to_json(_line_instance()))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
 
 
 def _infeasible_instance():
@@ -243,6 +257,31 @@ class TestSolve:
         )
         assert code == 4
         assert "budget exceeded:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("distances", "entries", 1), {}, "distances.entries"),
+            (("distances", "entries", 1), None, "distances.entries"),
+            (("big_m_policy",), 7, "big_m_policy"),
+            (("articles", 0, "planned_total"), 10**20, "planned_total"),
+            (("stores", 0, "desired_qty"), 10**20, "desired_qty"),
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, path, value, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_line_payload_with(path, value)), encoding="utf-8")
+        assert main(["solve", "--instance", str(bad)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_non_string_metric_exits_2(self, catalog_path, capsys):
+        distances = {"catalog_ref": catalog_path.name, "metric": ["euclidean"]}
+        bad = catalog_path.parent / "bad.json"
+        bad.write_text(
+            json.dumps(_line_payload_with(("distances",), distances)), encoding="utf-8"
+        )
+        assert main(["solve", "--instance", str(bad)]) == 2
+        assert "metric" in capsys.readouterr().err
 
 
 class TestExportLp:
@@ -471,11 +510,50 @@ class TestSubprocess:
         assert outs[0] == outs[1]
 
 
+def _json_paths(node, prefix=()):
+    """Every key path in a parsed JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+# Every field of the line instance's JSON, containers and leaves alike.
+_LINE_FIELDS = list(_json_paths(json.loads(instance_to_json(_line_instance()))))[1:]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(path=st.sampled_from(_LINE_FIELDS), value=_JSON_VALUES)
+def test_fuzzed_instance_field_exits_with_documented_code(tmp_path, path, value):
+    instance = tmp_path / "fuzz.json"
+    instance.write_text(json.dumps(_line_payload_with(path, value)), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["solve", "--instance", str(instance), "--output", str(tmp_path / "plan.json")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+
+
 def test_parser_exposes_documented_defaults():
     parser = build_parser()
     args = parser.parse_args(["solve", "--instance", "x.json"])
     assert args.mode == "auto"
-    assert args.auto_threshold == AUTO_EXACT_LIMIT
+    assert args.auto_threshold == EXACT_SIZE_LIMIT
     args = parser.parse_args(["experiment", "--kind", "linearity"])
     assert args.dim == 16
     assert args.reps == 1000

@@ -374,6 +374,14 @@ class TestInstanceIO:
         with pytest.raises(MalformedInputError):
             load_instance("{not json")
 
+    def test_quantity_beyond_32_bits_rejected(self):
+        doc = self.demo_doc()
+        doc["stores"][0]["desired_qty"] = 2**31 - 1
+        load_instance(json.dumps(doc))
+        doc["stores"][0]["desired_qty"] = 2**31
+        with pytest.raises(MalformedInputError, match="desired_qty"):
+            load_instance(json.dumps(doc))
+
     def test_non_integer_quantity_rejected(self):
         doc = self.demo_doc()
         doc["articles"][0]["planned_total"] = 2.5

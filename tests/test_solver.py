@@ -1,5 +1,6 @@
 """Quantity feasibility, exact search, and the heuristic."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,6 +13,7 @@ from stylemix.core import (
     DistanceMatrix,
     DistributionInstance,
     Store,
+    distance_matrix,
 )
 from stylemix.errors import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from stylemix.errors import (
     MalformedInputError,
     TooFewStylesError,
 )
+from stylemix.experiments import demo_instance, synthetic_population
 from stylemix.flow import cut_violation, feasible_circulation
 from stylemix.solver import (
     AssignmentPattern,
@@ -181,6 +184,32 @@ class TestQuantityFeasible:
             checked += 1
         assert checked >= 10
 
+    def test_capacities_beyond_32_bits_do_not_wrap(self):
+        # Summed, the planned totals exceed the max-flow solver's 32-bit
+        # capacities; each edge alone stays small.
+        d = np.ones((4, 4))
+        np.fill_diagonal(d, 0.0)
+        inst = DistributionInstance(
+            articles=tuple(Article(f"a{i}", 600_000_000, 1) for i in range(4)),
+            stores=(Store("s0", 20),),
+            alpha=Fraction("0.2"),
+            distances=DistanceMatrix(d),
+        )
+        result = quantity_feasible(inst, AssignmentPattern.from_sets(4, [{0, 1, 2, 3}]))
+        assert result.feasible
+        assert plan_violations(inst, plan_from_quantities(inst, result.x)) == []
+
+    def test_capacity_above_32_bits_raises(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        inst = DistributionInstance(
+            articles=(Article("a0", 600_000_000, 1), Article("a1", 600_000_000, 1)),
+            stores=(Store("s0", 3_000_000_000),),
+            alpha=Fraction("0.2"),
+            distances=DistanceMatrix(d),
+        )
+        with pytest.raises(ValueError):
+            quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}]))
+
     def test_witness_quantities_are_feasible(self):
         for seed in range(40):
             instance, x = random_feasible_instance(seed)
@@ -198,10 +227,14 @@ def all_patterns(n: int, s: int):
     return product(*per_store)
 
 
-def brute_force_optimum(instance) -> float | None:
-    """Enumerate every pattern; independent of the solver's pruning."""
+def brute_force_optimum(instance) -> tuple[float, tuple[int, ...]] | None:
+    """Best objective and the smallest row-major y attaining it.
+
+    Enumerates every pattern, so it is independent of the solver's
+    pruning and visiting order.
+    """
     n, s = instance.n_articles, instance.n_stores
-    best = None
+    feasible = []
     for column_sets in all_patterns(n, s):
         pattern = AssignmentPattern.from_sets(n, [set(c) for c in column_sets])
         if not quantity_feasible(instance, pattern).feasible:
@@ -210,9 +243,11 @@ def brute_force_optimum(instance) -> float | None:
             brute_variety(VarietyMeasure.MAX_MEAN, c, instance.distances.entries)
             for c in column_sets
         )
-        if best is None or value > best:
-            best = value
-    return best
+        feasible.append((value, tuple(int(v) for v in pattern.y.reshape(-1))))
+    if not feasible:
+        return None
+    best = max(value for value, _ in feasible)
+    return best, min(y for value, y in feasible if value >= best - 1e-9)
 
 
 class TestSolveExact:
@@ -231,12 +266,30 @@ class TestSolveExact:
             )
             expected = brute_force_optimum(instance)
             assert expected is not None
+            expected_value, expected_y = expected
             report = solve_exact(instance)
             assert report.status is SolveStatus.OPTIMAL
-            assert report.objective == pytest.approx(expected, abs=1e-9)
+            assert report.objective == pytest.approx(expected_value, abs=1e-9)
+            assert tuple(int(v) for v in report.plan.y.reshape(-1)) == expected_y
             assert plan_violations(instance, report.plan) == []
             compared += 1
         assert compared == 25
+
+    def test_demo_optimum_and_tie_pick(self):
+        # The demo has 16 optimal patterns; the smallest row-major y wins.
+        report = solve_exact(demo_instance())
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.objective == pytest.approx(1593.9190476190474, abs=1e-9)
+        assert report.plan.y.tolist() == [
+            [1, 1, 0, 1, 0, 1],
+            [1, 1, 1, 0, 1, 0],
+            [1, 0, 1, 1, 1, 0],
+            [1, 1, 1, 1, 0, 0],
+            [1, 1, 1, 1, 0, 0],
+            [1, 1, 1, 0, 1, 0],
+            [1, 1, 0, 1, 1, 0],
+            [1, 1, 1, 0, 0, 1],
+        ]
 
     def test_policies_agree_when_mins_are_small(self):
         # Minimum quantities in the generator never exceed any store's
@@ -290,6 +343,27 @@ class TestSolveExact:
         )
         with pytest.raises(BudgetExceededError):
             solve_exact(inst, limits=SolveLimits(max_patterns=0, time_budget=None))
+
+    def test_budget_zero_on_feasible_instance_raises_budget_error(self, line_instance):
+        with pytest.raises(BudgetExceededError):
+            solve_exact(line_instance, limits=SolveLimits(max_patterns=0, time_budget=None))
+
+    def test_time_budget_bounds_candidate_listing(self):
+        # One store over 20 articles has about a million subsets to list,
+        # which takes far longer than the budget.
+        catalog = synthetic_population(20, 16, seed=0)
+        inst = DistributionInstance(
+            articles=tuple(Article(f"a{i}", 40, 4) for i in range(20)),
+            stores=(Store("s0", 30),),
+            alpha=Fraction("0.2"),
+            distances=distance_matrix(catalog),
+        )
+        started = time.perf_counter()
+        try:
+            solve_exact(inst, limits=SolveLimits(time_budget=0.5))
+        except BudgetExceededError:
+            pass
+        assert time.perf_counter() - started < 5.0
 
     def test_budget_one_still_returns_a_plan(self, line_instance):
         report = solve_exact(
