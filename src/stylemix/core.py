@@ -147,6 +147,12 @@ def _as_int(value, *, field_name: str) -> int:
     return value
 
 
+def _as_id(value, *, record: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise MalformedInputError(f"{record}: id must be a non-empty string")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureCatalog:
     """Ordered collection of styles with equal-dimension feature vectors.
@@ -316,9 +322,7 @@ def load_catalog(source: str | bytes | IO, format: str = "csv") -> FeatureCatalo
                 raise MalformedInputError(
                     f"record {idx}: expected an object with 'id' and 'vector'"
                 )
-            sid = rec["id"]
-            if not isinstance(sid, str) or not sid:
-                raise MalformedInputError(f"record {idx}: id must be a non-empty string")
+            sid = _as_id(rec["id"], record=f"record {idx}")
             vec = rec["vector"]
             if not isinstance(vec, list):
                 raise MalformedInputError(f"record {sid!r}: vector must be an array")
@@ -723,7 +727,7 @@ def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None =
         try:
             articles.append(
                 Article(
-                    id=str(rec["id"]),
+                    id=_as_id(rec["id"], record=f"article {idx}"),
                     planned_total=_as_int(rec["planned_total"], field_name="planned_total"),
                     min_qty=_as_int(rec["min_qty"], field_name="min_qty"),
                 )
@@ -740,7 +744,7 @@ def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None =
         try:
             stores.append(
                 Store(
-                    id=str(rec["id"]),
+                    id=_as_id(rec["id"], record=f"store {idx}"),
                     desired_qty=_as_int(rec["desired_qty"], field_name="desired_qty"),
                 )
             )

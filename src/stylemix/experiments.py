@@ -33,14 +33,13 @@ from .core import (
 from .errors import InfeasibleError, PopulationTooSmallError, VerificationError
 from .solver import (
     EXACT_SIZE_LIMIT,
-    AssignmentPattern,
-    CutCertificate,
-    EdgeCertificate,
     HeuristicConfig,
     SolveReport,
+    _construct,
+    _repair,
+    _SearchState,
     improve_plan,
     plan_from_quantities,
-    quantity_feasible,
     solve_exact,
     solve_heuristic,
 )
@@ -398,87 +397,38 @@ def baseline_allocate(instance: DistributionInstance) -> DistributionPlan:
     consecutive articles from a wrapping catalog cursor until it holds
     at least two styles and its lower quantity band looks coverable;
     quantities then come from the flow subproblem. Infeasibility is
-    repaired by blindly adding the next cursor article to a short store
-    or dropping the most recently dealt style from an oversubscribed
-    one. Style dissimilarity never enters any choice.
+    repaired by blindly adding the next cursor article to the first
+    store of each violated cut that can still take one; repair only
+    adds styles, for the reason given in ``solver._repair``. This is the
+    heuristic's own construction and repair with the cursor as the
+    chooser, so style dissimilarity never enters any choice.
 
     Raises:
         InfeasibleError: No feasible quantities exist for any pattern
             this procedure reaches.
     """
     ensure_valid(instance)
-    n, s = instance.n_articles, instance.n_stores
-    mins = instance.min_quantities()
-    planned = instance.planned_totals()
-    committed = np.zeros(n, dtype=np.int64)
-    slates: list[list[int]] = [[] for _ in range(s)]
+    state = _SearchState(instance)
+    n = state.n
     cursor = 0
 
-    def can_take(t: int, i: int) -> bool:
-        if i in slates[t]:
-            return False
-        if instance.articles[i].min_qty > instance.big_m(t):
-            return False
-        if committed[i] + mins[i] > planned[i]:
-            return False
-        forced = sum(int(mins[j]) for j in slates[t]) + int(mins[i])
-        return forced <= instance.upper_band(t)
-
-    def take_next(t: int) -> bool:
+    def take_next(t: int) -> int | None:
         nonlocal cursor
         for _ in range(n):
             i = cursor % n
             cursor += 1
-            if can_take(t, i):
-                slates[t].append(i)
-                committed[i] += mins[i]
-                return True
-        return False
+            if state.can_add(t, i):
+                return i
+        return None
 
-    store_order = sorted(range(s), key=lambda t: (-instance.stores[t].desired_qty, t))
-    for t in store_order:
-        lb = instance.lower_band(t)
-        cap_t = instance.big_m(t)
-        while True:
-            coverage = sum(min(cap_t, int(planned[i])) for i in slates[t])
-            if len(slates[t]) >= 2 and coverage >= lb:
-                break
-            if not take_next(t):
-                break
-        if len(slates[t]) < 2:
-            raise InfeasibleError(
-                f"baseline cannot give store {instance.stores[t].id!r} two styles"
-            )
-
-    seen: set[bytes] = set()
-    for _ in range(4 * n * s + 8):
-        pattern = AssignmentPattern.from_sets(n, [set(sl) for sl in slates])
-        result = quantity_feasible(instance, pattern)
-        if result.feasible:
-            return plan_from_quantities(instance, result.x)
-        fingerprint = pattern.y.tobytes()
-        if fingerprint in seen:
-            break
-        seen.add(fingerprint)
-        cert = result.certificate
-        changed = False
-        if isinstance(cert, CutCertificate) and cert.demand_driven:
-            for t in cert.stores:
-                if take_next(t):
-                    changed = True
-                    break
-        elif isinstance(cert, (CutCertificate, EdgeCertificate)):
-            stores_in_cut = (
-                [cert.store] if isinstance(cert, EdgeCertificate) else list(cert.stores)
-            )
-            for t in sorted(stores_in_cut):
-                if len(slates[t]) > 2:
-                    dropped = slates[t].pop()
-                    committed[dropped] -= mins[dropped]
-                    changed = True
-                    break
-        if not changed:
-            break
+    short = _construct(state, take_next)
+    if short is not None:
+        raise InfeasibleError(
+            f"baseline cannot give store {instance.stores[short].id!r} two styles"
+        )
+    result = _repair(state, take_next)
+    if result.feasible:
+        return plan_from_quantities(instance, result.x)
     raise InfeasibleError("baseline allocator found no feasible quantities")
 
 

@@ -13,6 +13,12 @@ patterns and delegate quantity placement to a flow subproblem:
     solve_heuristic     greedy construction, certificate-guided repair,
                         then first-improvement local search
 
+Construction and repair take a chooser naming the article a store gets
+next: variety gain for the heuristic, a catalog cursor for the baseline
+in ``experiments``. Repair only adds styles, since both phases keep
+every pair's min_qty within its cap and every store's forced minimums
+within its upper band, so every violated cut asks for more supply.
+
 All objective comparisons use a 1e-9 absolute tolerance; quantity
 arithmetic is exact integer.
 """
@@ -32,7 +38,6 @@ from .core import (
     DistributionInstance,
     DistributionPlan,
     ensure_valid,
-    validate_instance,
 )
 from .errors import (
     BudgetExceededError,
@@ -498,8 +503,11 @@ def _store_candidates(
     cap_t = instance.big_m(t)
     mins = instance.min_quantities()
     planned = instance.planned_totals()
+    # Subsets larger than the count of smallest minimums that fit under
+    # the upper band would all fail the forced-minimum test below.
+    max_size = int(np.count_nonzero(np.cumsum(np.sort(mins[usable])) <= ub))
     out: list[tuple[tuple[int, ...], float]] = []
-    for size in range(2, len(usable) + 1):
+    for size in range(2, max_size + 1):
         for combo in itertools.combinations(usable, size):
             if deadline is not None and time.perf_counter() > deadline:
                 raise BudgetExceededError(
@@ -650,6 +658,7 @@ class _SearchState:
         self.s = instance.n_stores
         self.mins = instance.min_quantities()
         self.planned = instance.planned_totals()
+        self.usable = [set(_usable_articles(instance, t)) for t in range(self.s)]
         self.sets: list[set[int]] = [set() for _ in range(self.s)]
         self.pair_sums = [0.0] * self.s
         self.committed = np.zeros(self.n, dtype=np.int64)
@@ -686,8 +695,8 @@ class _SearchState:
         new_value = new_sum / (k - 1) if k - 1 >= 2 else 0.0
         return new_value - self.store_value(t)
 
-    def can_add(self, t: int, i: int, usable: set[int]) -> bool:
-        if i in self.sets[t] or i not in usable:
+    def can_add(self, t: int, i: int) -> bool:
+        if i in self.sets[t] or i not in self.usable[t]:
             return False
         if self.committed[i] + self.mins[i] > self.planned[i]:
             return False
@@ -697,23 +706,37 @@ class _SearchState:
     def pattern(self) -> AssignmentPattern:
         return AssignmentPattern.from_sets(self.n, self.sets)
 
-    def y_bytes(self) -> bytes:
-        y = np.zeros((self.n, self.s), dtype=np.int8)
-        for t, members in enumerate(self.sets):
-            for i in members:
-                y[i, t] = 1
-        return y.tobytes()
 
+def _gain_chooser(state: _SearchState, priority, gain_driven: bool = True):
+    """Chooser for _construct and _repair.
 
-def _construct(
-    state: _SearchState,
-    usable: list[set[int]],
-    priority: list[int],
-    gain_driven: bool,
-) -> bool:
-    """Greedy pattern construction; returns False if some store ends short."""
-    instance = state.instance
+    It names the addable article with the best MAX_MEAN gain, earliest
+    in ``priority`` among ties, or the first addable one in ``priority``
+    when not ``gain_driven``.
+    """
     rank = {i: pos for pos, i in enumerate(priority)}
+
+    def choose(t: int) -> int | None:
+        addable = [i for i in priority if state.can_add(t, i)]
+        if not addable:
+            return None
+        if gain_driven:
+            return max(addable, key=lambda i: (state.add_gain(t, i), -rank[i]))
+        return addable[0]
+
+    return choose
+
+
+def _construct(state: _SearchState, choose_add) -> int | None:
+    """Greedy pattern construction; returns the first store left short.
+
+    Stores are filled in descending desired quantity, each taking the
+    article ``choose_add(t)`` names until it holds two styles whose
+    per-pair caps can cover its lower band, or until ``choose_add``
+    returns None. A store left with fewer than two styles ends the
+    construction and is returned; None means every store has two.
+    """
+    instance = state.instance
     store_order = sorted(
         range(state.s), key=lambda t: (-instance.stores[t].desired_qty, t)
     )
@@ -727,71 +750,48 @@ def _construct(
             )
             if len(members) >= 2 and coverage >= lb:
                 break
-            addable = [i for i in priority if state.can_add(t, i, usable[t])]
-            if not addable:
+            chosen = choose_add(t)
+            if chosen is None:
                 break
-            if gain_driven:
-                chosen = max(addable, key=lambda i: (state.add_gain(t, i), -rank[i]))
-            else:
-                chosen = addable[0]
             state.add(t, chosen)
-    return all(len(members) >= 2 for members in state.sets)
+        if len(state.sets[t]) < 2:
+            return t
+    return None
 
 
-def _repair(state: _SearchState, usable: list[set[int]]) -> QuantityResult | None:
-    """Drive a structurally complete pattern to quantity feasibility.
+def _repair(state: _SearchState, choose_add) -> QuantityResult:
+    """Grow a structurally complete pattern until its quantities fit.
 
-    Uses infeasibility certificates to decide whether a cut needs more
-    supply options (add a style) or carries too much forced minimum
-    (drop a style). Returns the feasible QuantityResult or None.
+    Each infeasible flow check yields a cut certificate; the first store
+    of that cut for which ``choose_add`` names an article receives it.
+    Repair only adds styles. Construction and repair add only pairs with
+    ``min_qty <= cap`` and keep every store's forced minimums within its
+    upper band, so by Hoffman's circulation theorem the only cut that
+    can be violated contains the sink: every certificate here is
+    demand-driven, and adding supply options is the only useful step.
+    The pattern grows strictly, so the loop ends after at most
+    ``n_articles * n_stores`` additions. Returns the last flow check:
+    feasible, or infeasible once no store of the cut can take a style.
     """
-    instance = state.instance
-    seen: set[bytes] = set()
-    for _ in range(4 * state.n * state.s + 8):
-        result = quantity_feasible(instance, state.pattern())
+    while True:
+        result = quantity_feasible(state.instance, state.pattern())
         if result.feasible:
             return result
-        fingerprint = state.y_bytes()
-        if fingerprint in seen:
-            return None
-        seen.add(fingerprint)
-        cert = result.certificate
-        changed = False
-        if isinstance(cert, EdgeCertificate):
-            if len(state.sets[cert.store]) > 2:
-                state.remove(cert.store, cert.article)
-                changed = True
-        elif isinstance(cert, CutCertificate) and cert.demand_driven:
-            for t in cert.stores:
-                addable = sorted(
-                    (i for i in usable[t] if state.can_add(t, i, usable[t])),
-                    key=lambda i: (-state.add_gain(t, i), i),
-                )
-                if addable:
-                    state.add(t, addable[0])
-                    changed = True
-                    break
-        elif isinstance(cert, CutCertificate):
-            for t in sorted(cert.stores):
-                if len(state.sets[t]) > 2:
-                    drop = max(
-                        sorted(state.sets[t]),
-                        key=lambda i: (state.drop_gain(t, i), -i),
-                    )
-                    state.remove(t, drop)
-                    changed = True
-                    break
-        if not changed:
-            return None
-    return None
+        for t in result.certificate.stores:
+            chosen = choose_add(t)
+            if chosen is not None:
+                state.add(t, chosen)
+                break
+        else:
+            return result
 
 
 def _local_search(
     state: _SearchState,
-    usable: list[set[int]],
     x0: np.ndarray,
     config: HeuristicConfig,
-) -> tuple[np.ndarray, int, list[tuple[int, float]]]:
+    started: float,
+) -> SolveReport:
     """First-improvement local search over swap/move/toggle neighborhoods."""
     instance = state.instance
     value = state.objective()
@@ -812,7 +812,7 @@ def _local_search(
     while improved and iterations < config.max_iters:
         improved = False
         for neighborhood in config.neighborhoods:
-            for delta, mutate, undo in scans[neighborhood](state, usable):
+            for delta, mutate, undo in scans[neighborhood](state):
                 result = try_apply(mutate, undo)
                 if result is None:
                     continue
@@ -824,10 +824,16 @@ def _local_search(
                 break
             if improved:
                 break
-    return best_x, iterations, trace
+    return SolveReport(
+        plan_from_quantities(instance, best_x),
+        SolveStatus.FEASIBLE_HEURISTIC,
+        iterations,
+        time.perf_counter() - started,
+        tuple(trace),
+    )
 
 
-def _scan_swap(state: _SearchState, usable: list[set[int]]):
+def _scan_swap(state: _SearchState):
     instance = state.instance
     for t in range(state.s):
         for u in range(t + 1, state.s):
@@ -835,7 +841,7 @@ def _scan_swap(state: _SearchState, usable: list[set[int]]):
             only_u = sorted(state.sets[u] - state.sets[t])
             for i in only_t:
                 for j in only_u:
-                    if j not in usable[t] or i not in usable[u]:
+                    if j not in state.usable[t] or i not in state.usable[u]:
                         continue
                     forced_t = sum(state.mins[a] for a in state.sets[t]) - state.mins[i] + state.mins[j]
                     forced_u = sum(state.mins[a] for a in state.sets[u]) - state.mins[j] + state.mins[i]
@@ -875,7 +881,7 @@ def _gain_after_drop(state: _SearchState, t: int, dropped: int, added: int) -> f
     return new_value - base_value
 
 
-def _scan_move(state: _SearchState, usable: list[set[int]]):
+def _scan_move(state: _SearchState):
     instance = state.instance
     for t in range(state.s):
         if len(state.sets[t]) <= 2:
@@ -884,7 +890,7 @@ def _scan_move(state: _SearchState, usable: list[set[int]]):
             if u == t:
                 continue
             for i in sorted(state.sets[t] - state.sets[u]):
-                if i not in usable[u]:
+                if i not in state.usable[u]:
                     continue
                 forced_u = sum(state.mins[a] for a in state.sets[u]) + state.mins[i]
                 if forced_u > instance.upper_band(u):
@@ -903,10 +909,10 @@ def _scan_move(state: _SearchState, usable: list[set[int]]):
                     yield delta, mutate, undo
 
 
-def _scan_toggle(state: _SearchState, usable: list[set[int]]):
+def _scan_toggle(state: _SearchState):
     for t in range(state.s):
-        for i in sorted(usable[t] - state.sets[t]):
-            if not state.can_add(t, i, usable[t]):
+        for i in sorted(state.usable[t] - state.sets[t]):
+            if not state.can_add(t, i):
                 continue
             delta = state.add_gain(t, i)
             if delta > OBJECTIVE_TOLERANCE:
@@ -941,7 +947,9 @@ def solve_heuristic(
     Construction fills stores in descending desired quantity, repeatedly
     taking the remaining-capacity article with the best MAX_MEAN
     marginal gain until the store's lower band is coverable. Certificate
-    guided repair then fixes quantity infeasibility; failed attempts
+    guided repair then adds styles to the short stores of each violated
+    cut until the quantities fit; it never drops one, since every cut
+    it can meet is demand-driven (see ``_repair``). Failed attempts
     restart with seeded random article priorities. The surviving pattern
     is polished by first-improvement local search over swap, move, and
     toggle neighborhoods, each accepted move re-checked for quantity
@@ -949,15 +957,13 @@ def solve_heuristic(
 
     Raises:
         ValidationError: Invalid instance.
-        InfeasibleError: No feasible pattern was found by any restart.
+        InfeasibleError: No feasible pattern was found by any restart;
+            its certificate is the cut of the last pattern repair
+            reached.
     """
     ensure_valid(instance)
     config = config or HeuristicConfig()
     started = time.perf_counter()
-    usable = [set(_usable_articles(instance, t)) for t in range(instance.n_stores)]
-
-    feasible_state: _SearchState | None = None
-    first_x: np.ndarray | None = None
     last_certificate = None
     for attempt in range(max(1, config.restarts)):
         state = _SearchState(instance)
@@ -966,33 +972,15 @@ def solve_heuristic(
             rng = random.Random(config.seed * 1_000_003 + attempt)
             rng.shuffle(priority)
         gain_driven = attempt % 3 != 2
-        if not _construct(state, usable, priority, gain_driven):
+        if _construct(state, _gain_chooser(state, priority, gain_driven)) is not None:
             continue
-        probe = quantity_feasible(instance, state.pattern())
-        if probe.feasible:
-            feasible_state, first_x = state, probe.x
-            break
-        last_certificate = probe.certificate
-        repaired = _repair(state, usable)
-        if repaired is not None:
-            feasible_state, first_x = state, repaired.x
-            break
-
-    if feasible_state is None:
-        raise InfeasibleError(
-            "construction and repair found no feasible pattern",
-            certificate=last_certificate,
-        )
-
-    best_x, iterations, trace = _local_search(feasible_state, usable, first_x, config)
-    plan = plan_from_quantities(instance, best_x)
-    elapsed = time.perf_counter() - started
-    return SolveReport(
-        plan,
-        SolveStatus.FEASIBLE_HEURISTIC,
-        iterations,
-        elapsed,
-        tuple(trace),
+        result = _repair(state, _gain_chooser(state, range(state.n)))
+        if result.feasible:
+            return _local_search(state, result.x, config, started)
+        last_certificate = result.certificate
+    raise InfeasibleError(
+        "construction and repair found no feasible pattern",
+        certificate=last_certificate,
     )
 
 
@@ -1013,20 +1001,8 @@ def improve_plan(
     violations = plan_violations(instance, plan)
     if violations:
         raise InfeasiblePlanError(violations)
-    usable = [set(_usable_articles(instance, t)) for t in range(instance.n_stores)]
     state = _SearchState(instance)
     for t in range(instance.n_stores):
         for i in plan.store_set(t):
             state.add(t, i)
-    best_x, iterations, trace = _local_search(
-        state, usable, np.asarray(plan.x, dtype=np.int64), config
-    )
-    polished = plan_from_quantities(instance, best_x)
-    elapsed = time.perf_counter() - started
-    return SolveReport(
-        polished,
-        SolveStatus.FEASIBLE_HEURISTIC,
-        iterations,
-        elapsed,
-        tuple(trace),
-    )
+    return _local_search(state, np.asarray(plan.x, dtype=np.int64), config, started)

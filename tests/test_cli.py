@@ -266,6 +266,11 @@ class TestSolve:
             (("big_m_policy",), 7, "big_m_policy"),
             (("articles", 0, "planned_total"), 10**20, "planned_total"),
             (("stores", 0, "desired_qty"), 10**20, "desired_qty"),
+            *(
+                ((records, 1, "id"), value, f"{record}: id must be a non-empty string")
+                for records, record in (("articles", "article 1"), ("stores", "store 1"))
+                for value in ({"a": 1}, [1], None, 7, "")
+            ),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, path, value, field):

@@ -187,6 +187,17 @@ class TestBaseline:
         b = baseline_allocate(scrambled)
         assert np.array_equal(a.y, b.y)
 
+    def test_repaired_pattern_is_pinned(self):
+        # Construction leaves this instance quantity-infeasible; repair
+        # adds three cursor articles before the flow check passes.
+        instance, _ = random_feasible_instance(67)
+        plan = baseline_allocate(instance)
+        assert plan.y.tolist() == [
+            [1, 1, 0], [1, 1, 0], [1, 1, 0], [1, 1, 0],
+            [1, 0, 1], [0, 0, 1], [1, 0, 0], [1, 0, 0],
+        ]
+        assert plan.objective == 106.32342296676026
+
     def test_comparison_on_demo_shows_strict_gain(self):
         cmp = compare_against_baseline(demo_instance(), seed=0)
         assert cmp.optimizer == "heuristic"

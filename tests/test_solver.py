@@ -1,5 +1,6 @@
 """Quantity feasibility, exact search, and the heuristic."""
 
+import contextlib
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,7 +23,8 @@ from stylemix.errors import (
     MalformedInputError,
     TooFewStylesError,
 )
-from stylemix.experiments import demo_instance, synthetic_population
+from stylemix import solver
+from stylemix.experiments import baseline_allocate, demo_instance, synthetic_population
 from stylemix.flow import cut_violation, feasible_circulation
 from stylemix.solver import (
     AssignmentPattern,
@@ -374,6 +376,24 @@ class TestSolveExact:
         assert plan_violations(line_instance, report.plan) == []
 
 
+def adversarial_instance(seed: int) -> DistributionInstance:
+    """Large minimums, small stores and wide bands, under either cap policy."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(31,)))
+    n = int(rng.integers(2, 8))
+    s = int(rng.integers(1, 5))
+    mins = rng.integers(1, 11, size=n)
+    planned = mins + rng.integers(0, 30, size=n)
+    desired = rng.integers(1, 31, size=s)
+    points = rng.random(n)
+    return DistributionInstance(
+        articles=tuple(Article(f"a{i}", int(planned[i]), int(mins[i])) for i in range(n)),
+        stores=tuple(Store(f"s{t}", int(desired[t])) for t in range(s)),
+        alpha=Fraction(str(rng.choice(["0", "0.1", "0.2", "0.5", "0.9"]))),
+        distances=DistanceMatrix(np.abs(np.subtract.outer(points, points))),
+        big_m_policy=list(BigMPolicy)[int(rng.integers(2))],
+    )
+
+
 class TestSolveHeuristic:
     def test_line_of_four_matches_exact(self, line_instance):
         report = solve_heuristic(line_instance, HeuristicConfig(seed=7))
@@ -420,6 +440,39 @@ class TestSolveHeuristic:
         )
         with pytest.raises(InfeasibleError):
             solve_heuristic(inst)
+
+    def test_repaired_construction_is_pinned(self):
+        # The first construction is quantity-infeasible; repair adds two
+        # styles. max_iters=0 returns the repaired pattern unpolished.
+        instance, _ = random_feasible_instance(0)
+        report = solve_heuristic(instance, HeuristicConfig(max_iters=0))
+        assert report.plan.y.tolist() == [[1, 1], [0, 0], [1, 1], [0, 0], [1, 0], [1, 1]]
+        assert report.objective == 252.8665332797081
+
+    def test_construction_and_repair_meet_only_demand_driven_cuts(self, monkeypatch):
+        # Repair only adds styles. That is enough because construction
+        # and repair never add a pair whose min_qty exceeds its cap or
+        # push a store's forced minimums past its upper band, so the only
+        # violated cut left contains the sink.
+        certificates = []
+        checked = solver.quantity_feasible
+
+        def recording(instance, pattern):
+            result = checked(instance, pattern)
+            if not result.feasible:
+                certificates.append(result.certificate)
+            return result
+
+        monkeypatch.setattr(solver, "quantity_feasible", recording)
+        for seed in range(300):
+            instance = adversarial_instance(seed)
+            with contextlib.suppress(InfeasibleError):
+                baseline_allocate(instance)
+            with contextlib.suppress(InfeasibleError):
+                solve_heuristic(instance, HeuristicConfig(max_iters=0, restarts=4))
+        assert len(certificates) >= 100
+        for cert in certificates:
+            assert isinstance(cert, CutCertificate) and cert.demand_driven, cert
 
     def test_improve_plan_never_worsens(self):
         for seed in range(8):
