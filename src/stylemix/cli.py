@@ -240,18 +240,14 @@ def cmd_solve(args) -> int:
     instance = read_instance_file(args.instance)
     ensure_valid(instance)
     seed = _resolve_seed(args)
+    limits = SolveLimits(max_patterns=args.max_patterns, time_budget=args.time_budget)
     mode = args.mode
     if mode == "auto":
         size = instance.n_articles * instance.n_stores
         mode = "exact" if size <= args.auto_threshold else "heuristic"
     try:
         if mode == "exact":
-            report = solve_exact(
-                instance,
-                SolveLimits(
-                    max_patterns=args.max_patterns, time_budget=args.time_budget
-                ),
-            )
+            report = solve_exact(instance, limits)
         else:
             report = solve_heuristic(
                 instance,

@@ -300,14 +300,13 @@ def export_lp(instance: DistributionInstance) -> str:
 class LinearizationVars:
     """Auxiliary variable values induced by an assignment pattern.
 
-    r[s] = 1 / (style count of store s), u[i, s] = r[s] * y[i, s],
-    w[i, j, s] = r[s] * y[i, s] * y[j, s] for i < j (zero elsewhere),
-    and v[s] = sum of d_ij * w[i, j, s] over pairs.
+    r[s] = 1 / (style count of store s), u[i, s] = r[s] * y[i, s], and
+    v[s] = sum over pairs i < j of d_ij * w[i, j, s], where
+    w[i, j, s] = r[s] * y[i, s] * y[j, s] (see ``linearization_witness``).
     """
 
     r: tuple[float, ...]
     u: np.ndarray
-    w: np.ndarray
     v: tuple[float, ...]
 
     @classmethod
@@ -320,7 +319,6 @@ class LinearizationVars:
             raise ValueError("every store needs at least two styles for r = 1/count")
         r = tuple(1.0 / float(c) for c in counts)
         u = np.zeros((n, s))
-        w = np.zeros((n, n, s))
         v = []
         for t in range(s):
             for i in range(n):
@@ -328,12 +326,10 @@ class LinearizationVars:
             total = 0.0
             for i in range(n):
                 for j in range(i + 1, n):
-                    w[i, j, t] = r[t] * float(y[i, t]) * float(y[j, t])
-                    total += float(d[i, j]) * w[i, j, t]
+                    total += float(d[i, j]) * (r[t] * float(y[i, t]) * float(y[j, t]))
             v.append(total)
         u.setflags(write=False)
-        w.setflags(write=False)
-        return cls(r, u, w, tuple(v))
+        return cls(r, u, tuple(v))
 
 
 def linearization_witness(instance: DistributionInstance, plan: DistributionPlan) -> dict[str, float]:
@@ -357,7 +353,7 @@ def linearization_witness(instance: DistributionInstance, plan: DistributionPlan
     for i in range(n):
         for j in range(i + 1, n):
             for t in range(s):
-                values[var_w(i, j, t)] = float(aux.w[i, j, t])
+                values[var_w(i, j, t)] = aux.r[t] * float(plan.y[i, t]) * float(plan.y[j, t])
     return values
 
 

@@ -19,6 +19,11 @@ in ``experiments``. Repair only adds styles, since both phases keep
 every pair's min_qty within its cap and every store's forced minimums
 within its upper band, so every violated cut asks for more supply.
 
+Local search scans swaps, moves and toggles in that order. Each scan
+yields improving moves of one shape, (delta, drops, adds) with drops
+and adds tuples of (store, article) pairs; a move is undone by applying
+it with drops and adds exchanged.
+
 All objective comparisons use a 1e-9 absolute tolerance; quantity
 arithmetic is exact integer.
 """
@@ -189,25 +194,25 @@ class SolveLimits:
 
     max_patterns bounds the number of complete patterns submitted to the
     flow check; time_budget (seconds) bounds wall time. Either may be
-    None for no limit.
+    None for no limit; a negative value, or a NaN time_budget, raises
+    ValueError.
     """
 
     max_patterns: int | None = 1_000_000
     time_budget: float | None = 60.0
+
+    def __post_init__(self):
+        if self.max_patterns is not None and self.max_patterns < 0:
+            raise ValueError(f"max_patterns must be at least 0, got {self.max_patterns}")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be at least 0, got {self.time_budget}")
 
 
 @dataclass(frozen=True)
 class HeuristicConfig:
     seed: int = 0
     max_iters: int = 10_000
-    neighborhoods: tuple[str, ...] = ("swap", "move", "toggle")
     restarts: int = 16
-
-    def __post_init__(self):
-        allowed = {"swap", "move", "toggle"}
-        for name in self.neighborhoods:
-            if name not in allowed:
-                raise ValueError(f"unknown neighborhood {name!r}")
 
 
 @dataclass(frozen=True)
@@ -649,19 +654,25 @@ def solve_exact(
 
 
 class _SearchState:
-    """Mutable pattern state for construction and local search."""
+    """Mutable pattern state for construction and local search.
+
+    ``apply(drops, adds)`` makes a move given as (store, article) pairs
+    and ``apply(adds, drops)`` undoes it.
+    """
 
     def __init__(self, instance: DistributionInstance):
         self.instance = instance
         self.d = instance.distances.entries
         self.n = instance.n_articles
         self.s = instance.n_stores
-        self.mins = instance.min_quantities()
-        self.planned = instance.planned_totals()
+        self.mins = instance.min_quantities().tolist()
+        self.planned = instance.planned_totals().tolist()
+        self.upper = [instance.upper_band(t) for t in range(self.s)]
         self.usable = [set(_usable_articles(instance, t)) for t in range(self.s)]
         self.sets: list[set[int]] = [set() for _ in range(self.s)]
         self.pair_sums = [0.0] * self.s
-        self.committed = np.zeros(self.n, dtype=np.int64)
+        self.forced = [0] * self.s
+        self.committed = [0] * self.n
 
     def store_value(self, t: int) -> float:
         k = len(self.sets[t])
@@ -670,38 +681,50 @@ class _SearchState:
     def objective(self) -> float:
         return sum(self.store_value(t) for t in range(self.s))
 
-    def links(self, t: int, i: int) -> float:
-        members = self.sets[t]
-        return float(sum(self.d[i, j] for j in members if j != i))
+    def links(self, t: int, i: int, skip: int | None = None) -> float:
+        """Sum of d[i, j] over the members j of store t other than i and skip."""
+        return float(sum(self.d[i, j] for j in self.sets[t] if j != i and j != skip))
 
     def add(self, t: int, i: int) -> None:
         self.pair_sums[t] += self.links(t, i)
         self.sets[t].add(i)
+        self.forced[t] += self.mins[i]
         self.committed[i] += self.mins[i]
 
     def remove(self, t: int, i: int) -> None:
         self.sets[t].discard(i)
         self.pair_sums[t] -= self.links(t, i)
+        self.forced[t] -= self.mins[i]
         self.committed[i] -= self.mins[i]
 
-    def add_gain(self, t: int, i: int) -> float:
-        k = len(self.sets[t])
-        new_sum = self.pair_sums[t] + self.links(t, i)
-        return new_sum / (k + 1) - self.store_value(t)
+    def apply(self, drops, adds) -> None:
+        for t, i in drops:
+            self.remove(t, i)
+        for t, i in adds:
+            self.add(t, i)
 
-    def drop_gain(self, t: int, i: int) -> float:
+    def gain(self, t: int, drop: int | None = None, add: int | None = None) -> float:
+        """Change of store t's value when ``drop`` leaves and ``add`` joins."""
         k = len(self.sets[t])
-        new_sum = self.pair_sums[t] - self.links(t, i)
-        new_value = new_sum / (k - 1) if k - 1 >= 2 else 0.0
-        return new_value - self.store_value(t)
+        total = self.pair_sums[t]
+        if drop is not None:
+            total -= self.links(t, drop)
+            k -= 1
+        if add is not None:
+            total += self.links(t, add, drop)
+            k += 1
+        return (total / k if k >= 2 else 0.0) - self.store_value(t)
+
+    def fits(self, t: int, add: int, drop: int | None = None) -> bool:
+        """Whether usable ``add`` fits under t's upper band in place of ``drop``."""
+        if add in self.sets[t] or add not in self.usable[t]:
+            return False
+        released = 0 if drop is None else self.mins[drop]
+        return self.forced[t] + self.mins[add] - released <= self.upper[t]
 
     def can_add(self, t: int, i: int) -> bool:
-        if i in self.sets[t] or i not in self.usable[t]:
-            return False
-        if self.committed[i] + self.mins[i] > self.planned[i]:
-            return False
-        forced = int(sum(self.mins[j] for j in self.sets[t])) + int(self.mins[i])
-        return forced <= self.instance.upper_band(t)
+        """``fits``, plus supply for one more minimum of i (swaps and moves add none)."""
+        return self.committed[i] + self.mins[i] <= self.planned[i] and self.fits(t, i)
 
     def pattern(self) -> AssignmentPattern:
         return AssignmentPattern.from_sets(self.n, self.sets)
@@ -721,7 +744,7 @@ def _gain_chooser(state: _SearchState, priority, gain_driven: bool = True):
         if not addable:
             return None
         if gain_driven:
-            return max(addable, key=lambda i: (state.add_gain(t, i), -rank[i]))
+            return max(addable, key=lambda i: (state.gain(t, add=i), -rank[i]))
         return addable[0]
 
     return choose
@@ -745,9 +768,7 @@ def _construct(state: _SearchState, choose_add) -> int | None:
         cap_t = instance.big_m(t)
         while True:
             members = state.sets[t]
-            coverage = int(
-                sum(min(cap_t, int(state.planned[i])) for i in members)
-            )
+            coverage = sum(min(cap_t, state.planned[i]) for i in members)
             if len(members) >= 2 and coverage >= lb:
                 break
             chosen = choose_add(t)
@@ -792,38 +813,26 @@ def _local_search(
     config: HeuristicConfig,
     started: float,
 ) -> SolveReport:
-    """First-improvement local search over swap/move/toggle neighborhoods."""
+    """Keep the first improving move that passes the flow check; repeat."""
     instance = state.instance
     value = state.objective()
     iterations = 0
     trace: list[tuple[int, float]] = [(0, value)]
     best_x = x0
-
-    def try_apply(mutate, undo) -> QuantityResult | None:
-        mutate()
-        result = quantity_feasible(instance, state.pattern())
-        if result.feasible:
-            return result
-        undo()
-        return None
-
-    scans = {"swap": _scan_swap, "move": _scan_move, "toggle": _scan_toggle}
-    improved = True
-    while improved and iterations < config.max_iters:
-        improved = False
-        for neighborhood in config.neighborhoods:
-            for delta, mutate, undo in scans[neighborhood](state):
-                result = try_apply(mutate, undo)
-                if result is None:
-                    continue
-                value += delta
-                iterations += 1
-                trace.append((iterations, value))
-                best_x = result.x
-                improved = True
+    while iterations < config.max_iters:
+        moves = itertools.chain(_scan_swap(state), _scan_move(state), _scan_toggle(state))
+        for delta, drops, adds in moves:
+            state.apply(drops, adds)
+            result = quantity_feasible(instance, state.pattern())
+            if result.feasible:
                 break
-            if improved:
-                break
+            state.apply(adds, drops)
+        else:
+            break
+        value += delta
+        iterations += 1
+        trace.append((iterations, value))
+        best_x = result.x
     return SolveReport(
         plan_from_quantities(instance, best_x),
         SolveStatus.FEASIBLE_HEURISTIC,
@@ -834,55 +843,22 @@ def _local_search(
 
 
 def _scan_swap(state: _SearchState):
-    instance = state.instance
+    """Two stores trade one style each."""
     for t in range(state.s):
         for u in range(t + 1, state.s):
             only_t = sorted(state.sets[t] - state.sets[u])
             only_u = sorted(state.sets[u] - state.sets[t])
             for i in only_t:
                 for j in only_u:
-                    if j not in state.usable[t] or i not in state.usable[u]:
+                    if not (state.fits(t, j, i) and state.fits(u, i, j)):
                         continue
-                    forced_t = sum(state.mins[a] for a in state.sets[t]) - state.mins[i] + state.mins[j]
-                    forced_u = sum(state.mins[a] for a in state.sets[u]) - state.mins[j] + state.mins[i]
-                    if forced_t > instance.upper_band(t) or forced_u > instance.upper_band(u):
-                        continue
-                    delta = (
-                        state.drop_gain(t, i)
-                        + state.drop_gain(u, j)
-                        + _gain_after_drop(state, t, i, j)
-                        + _gain_after_drop(state, u, j, i)
-                    )
+                    delta = state.gain(t, i, j) + state.gain(u, j, i)
                     if delta > OBJECTIVE_TOLERANCE:
-
-                        def mutate(t=t, u=u, i=i, j=j):
-                            state.remove(t, i)
-                            state.add(t, j)
-                            state.remove(u, j)
-                            state.add(u, i)
-
-                        def undo(t=t, u=u, i=i, j=j):
-                            state.remove(t, j)
-                            state.add(t, i)
-                            state.remove(u, i)
-                            state.add(u, j)
-
-                        yield delta, mutate, undo
-
-
-def _gain_after_drop(state: _SearchState, t: int, dropped: int, added: int) -> float:
-    """Value change of adding ``added`` to store t after ``dropped`` left."""
-    members = state.sets[t] - {dropped}
-    k = len(members)
-    base_sum = state.pair_sums[t] - state.links(t, dropped)
-    base_value = base_sum / k if k >= 2 else 0.0
-    link_sum = float(sum(state.d[added, j] for j in members))
-    new_value = (base_sum + link_sum) / (k + 1) if k + 1 >= 2 else 0.0
-    return new_value - base_value
+                        yield delta, ((t, i), (u, j)), ((t, j), (u, i))
 
 
 def _scan_move(state: _SearchState):
-    instance = state.instance
+    """A style leaves a store holding more than two for another store."""
     for t in range(state.s):
         if len(state.sets[t]) <= 2:
             continue
@@ -890,52 +866,27 @@ def _scan_move(state: _SearchState):
             if u == t:
                 continue
             for i in sorted(state.sets[t] - state.sets[u]):
-                if i not in state.usable[u]:
+                if not state.fits(u, i):
                     continue
-                forced_u = sum(state.mins[a] for a in state.sets[u]) + state.mins[i]
-                if forced_u > instance.upper_band(u):
-                    continue
-                delta = state.drop_gain(t, i) + state.add_gain(u, i)
+                delta = state.gain(t, drop=i) + state.gain(u, add=i)
                 if delta > OBJECTIVE_TOLERANCE:
-
-                    def mutate(t=t, u=u, i=i):
-                        state.remove(t, i)
-                        state.add(u, i)
-
-                    def undo(t=t, u=u, i=i):
-                        state.remove(u, i)
-                        state.add(t, i)
-
-                    yield delta, mutate, undo
+                    yield delta, ((t, i),), ((u, i),)
 
 
 def _scan_toggle(state: _SearchState):
+    """A store takes one more style, or gives up one of more than two."""
     for t in range(state.s):
         for i in sorted(state.usable[t] - state.sets[t]):
             if not state.can_add(t, i):
                 continue
-            delta = state.add_gain(t, i)
+            delta = state.gain(t, add=i)
             if delta > OBJECTIVE_TOLERANCE:
-
-                def mutate(t=t, i=i):
-                    state.add(t, i)
-
-                def undo(t=t, i=i):
-                    state.remove(t, i)
-
-                yield delta, mutate, undo
+                yield delta, (), ((t, i),)
         if len(state.sets[t]) > 2:
             for i in sorted(state.sets[t]):
-                delta = state.drop_gain(t, i)
+                delta = state.gain(t, drop=i)
                 if delta > OBJECTIVE_TOLERANCE:
-
-                    def mutate(t=t, i=i):
-                        state.remove(t, i)
-
-                    def undo(t=t, i=i):
-                        state.add(t, i)
-
-                    yield delta, mutate, undo
+                    yield delta, ((t, i),), ()
 
 
 def solve_heuristic(
@@ -950,10 +901,10 @@ def solve_heuristic(
     guided repair then adds styles to the short stores of each violated
     cut until the quantities fit; it never drops one, since every cut
     it can meet is demand-driven (see ``_repair``). Failed attempts
-    restart with seeded random article priorities. The surviving pattern
-    is polished by first-improvement local search over swap, move, and
-    toggle neighborhoods, each accepted move re-checked for quantity
-    feasibility.
+    restart with seeded random article priorities. First-improvement
+    local search then polishes the pattern: the first improving swap,
+    move or toggle is applied and flow-checked, undone if its quantities
+    do not fit, and after each accepted move the scan starts over.
 
     Raises:
         ValidationError: Invalid instance.

@@ -47,17 +47,6 @@ class VarietyMeasure(Enum):
     MAX_SUM_MIN = "max_sum_min"
     MAX_MEAN = "max_mean"
 
-    @classmethod
-    def from_name(cls, name: str) -> "VarietyMeasure":
-        text = name.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(
-            f"unknown variety measure {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
-
 
 def _validated_indices(subset: Iterable[int], n: int) -> np.ndarray:
     idx = sorted({int(i) for i in subset})

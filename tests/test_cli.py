@@ -258,6 +258,17 @@ class TestSolve:
         assert code == 4
         assert "budget exceeded:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--time-budget", "nan"), ("--time-budget", "-1"), ("--max-patterns", "-1")],
+    )
+    def test_bad_budget_exits_2(self, line_path, capsys, flag, value, mode):
+        # A NaN deadline never passes, so it would not bound the run.
+        code = main(["solve", "--instance", str(line_path), "--mode", mode, flag, value])
+        assert code == 2
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, value, field",
         [

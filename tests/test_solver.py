@@ -449,6 +449,35 @@ class TestSolveHeuristic:
         assert report.plan.y.tolist() == [[1, 1], [0, 0], [1, 1], [0, 0], [1, 0], [1, 1]]
         assert report.objective == 252.8665332797081
 
+    def test_local_search_trajectory_is_pinned(self):
+        # Planned totals of three minimums make the supply test bind; on
+        # this instance both runs accept swaps, moves and toggles.
+        desired = np.random.default_rng(2).integers(12, 40, 4)
+        instance = DistributionInstance(
+            articles=tuple(Article(f"a{i}", 12, 4) for i in range(8)),
+            stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(desired)),
+            alpha=Fraction("0.2"),
+            distances=distance_matrix(synthetic_population(8, 16, 2)),
+        )
+        report = solve_heuristic(instance, HeuristicConfig(seed=0))
+        assert report.iterations == 14
+        assert report.plan.y.T.tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 0, 1, 0, 0],
+            [0, 0, 1, 0, 1, 1, 1, 0],
+            [1, 1, 0, 1, 1, 0, 1, 1],
+        ]
+        assert report.objective == 27.157425133256467
+        report = improve_plan(instance, baseline_allocate(instance))
+        assert report.iterations == 24
+        assert report.plan.y.T.tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 0, 1, 1, 0, 0],
+            [1, 1, 0, 1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 0, 1, 1, 1],
+        ]
+        assert report.objective == 25.513029995213458
+
     def test_construction_and_repair_meet_only_demand_driven_cuts(self, monkeypatch):
         # Repair only adds styles. That is enough because construction
         # and repair never add a pair whose min_qty exceeds its cap or

@@ -84,11 +84,6 @@ class TestFrozenValues:
     def test_duplicate_indices_collapse(self):
         assert variety(VarietyMeasure.MAX_SUM_SUM, (1, 1, 3), FROZEN_D) == 2.0
 
-    def test_from_name(self):
-        assert VarietyMeasure.from_name("max-mean") is VarietyMeasure.MAX_MEAN
-        with pytest.raises(ValueError):
-            VarietyMeasure.from_name("max_entropy")
-
 
 class TestSubsetValidation:
     def test_empty_subset_rejected(self):
