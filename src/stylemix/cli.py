@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DistributionInstance,
     Metric,
     distance_matrix,
     read_catalog_file,
@@ -35,12 +34,10 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
-    CatalogError,
     InfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
     StylemixError,
-    ValidationError,
     VerificationError,
 )
 from .experiments import (
@@ -74,21 +71,20 @@ EXIT_BUDGET = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed",
         type=int,
         default=None,
         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)",
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--output", type=Path, default=None, help="output file (default: stdout)"
     )
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="output format where both are supported",
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format"
     )
 
     parser = argparse.ArgumentParser(
@@ -98,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "distances", parents=[common], help="pairwise distances from a catalog"
+        "distances", parents=[common, formatted], help="pairwise distances from a catalog"
     )
     p.add_argument("--catalog", type=Path, required=True, help="catalog file")
     p.add_argument(
@@ -118,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale vectors to unit L2 norm before measuring distances",
     )
 
-    p = sub.add_parser("solve", parents=[common], help="compute an allocation plan")
+    p = sub.add_parser("solve", parents=[seeded, common], help="compute an allocation plan")
     p.add_argument("--instance", type=Path, required=True, help="instance JSON file")
     p.add_argument("--mode", choices=("exact", "heuristic", "auto"), default="auto")
     p.add_argument(
@@ -144,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--instance", type=Path, required=True, help="instance JSON file")
 
-    p = sub.add_parser("experiment", parents=[common], help="run a validation study")
+    p = sub.add_parser(
+        "experiment", parents=[seeded, common, formatted], help="run a validation study"
+    )
     p.add_argument(
         "--kind", choices=("linearity", "counterexamples", "baseline"), required=True
     )
@@ -241,34 +239,26 @@ def cmd_solve(args) -> int:
     ensure_valid(instance)
     seed = _resolve_seed(args)
     limits = SolveLimits(max_patterns=args.max_patterns, time_budget=args.time_budget)
+    config = HeuristicConfig(seed=seed, max_iters=args.max_iters, restarts=args.restarts)
     mode = args.mode
     if mode == "auto":
         size = instance.n_articles * instance.n_stores
         mode = "exact" if size <= args.auto_threshold else "heuristic"
+    infeasible = None
     try:
         if mode == "exact":
             report = solve_exact(instance, limits)
         else:
-            report = solve_heuristic(
-                instance,
-                HeuristicConfig(
-                    seed=seed, max_iters=args.max_iters, restarts=args.restarts
-                ),
-            )
+            report = solve_heuristic(instance, config)
     except InfeasibleError as exc:
+        infeasible = exc
         report = SolveReport(None, SolveStatus.INFEASIBLE, 0, 0.0)
-        _emit(
-            json.dumps(report.to_dict(include_wall_time=False), indent=2) + "\n",
-            args.output,
-        )
-        print(f"infeasible: {exc}", file=sys.stderr)
-        if exc.certificate is not None:
-            print(f"certificate: {exc.certificate}", file=sys.stderr)
+    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
+    if infeasible is not None:
+        print(f"infeasible: {infeasible}", file=sys.stderr)
+        if infeasible.certificate is not None:
+            print(f"certificate: {infeasible.certificate}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(
-        json.dumps(report.to_dict(include_wall_time=False), indent=2) + "\n",
-        args.output,
-    )
     if args.output is not None:
         print(_solve_summary(report))
     return EXIT_OK
@@ -362,19 +352,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CatalogError, MalformedInputError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InfeasibleError, InfeasiblePlanError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StylemixError as exc:
+    except (StylemixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -490,9 +490,6 @@ class DistributionInstance:
     def min_quantities(self) -> np.ndarray:
         return np.array([a.min_qty for a in self.articles], dtype=np.int64)
 
-    def desired_quantities(self) -> np.ndarray:
-        return np.array([s.desired_qty for s in self.stores], dtype=np.int64)
-
     def lower_band(self, s: int) -> int:
         """Smallest integer total a store may receive: ceil((1-alpha)*q_s)."""
         return math.ceil((1 - self.alpha) * self.stores[s].desired_qty)
@@ -694,6 +691,24 @@ def _parse_distances_block(block, n_articles: int, base_dir: Path | None) -> Dis
     )
 
 
+def _records(payload: dict, key: str, record: str, cls, int_fields: tuple[str, ...]) -> tuple:
+    """Build ``cls`` from each object in ``payload[key]``: an id plus integer fields."""
+    raw = payload[key]
+    if not isinstance(raw, list):
+        raise MalformedInputError(f"'{key}' must be an array")
+    records = []
+    for idx, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise MalformedInputError(f"{record} {idx}: expected an object")
+        try:
+            values = {"id": _as_id(rec["id"], record=f"{record} {idx}")}
+            values.update((name, _as_int(rec[name], field_name=name)) for name in int_fields)
+        except KeyError as exc:
+            raise MalformedInputError(f"{record} {idx}: missing field {exc.args[0]!r}") from exc
+        records.append(cls(**values))
+    return tuple(records)
+
+
 def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None = None) -> DistributionInstance:
     """Parse an instance from JSON text.
 
@@ -717,44 +732,13 @@ def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None =
             raise MalformedInputError(f"instance JSON missing {key!r}")
     alpha = _as_exact_fraction(payload["alpha"])
     policy = BigMPolicy.from_name(payload.get("big_m_policy", BigMPolicy.STORE_QTY.value))
-    articles = []
-    raw_articles = payload["articles"]
-    if not isinstance(raw_articles, list):
-        raise MalformedInputError("'articles' must be an array")
-    for idx, rec in enumerate(raw_articles):
-        if not isinstance(rec, dict):
-            raise MalformedInputError(f"article {idx}: expected an object")
-        try:
-            articles.append(
-                Article(
-                    id=_as_id(rec["id"], record=f"article {idx}"),
-                    planned_total=_as_int(rec["planned_total"], field_name="planned_total"),
-                    min_qty=_as_int(rec["min_qty"], field_name="min_qty"),
-                )
-            )
-        except KeyError as exc:
-            raise MalformedInputError(f"article {idx}: missing field {exc.args[0]!r}") from exc
-    stores = []
-    raw_stores = payload["stores"]
-    if not isinstance(raw_stores, list):
-        raise MalformedInputError("'stores' must be an array")
-    for idx, rec in enumerate(raw_stores):
-        if not isinstance(rec, dict):
-            raise MalformedInputError(f"store {idx}: expected an object")
-        try:
-            stores.append(
-                Store(
-                    id=_as_id(rec["id"], record=f"store {idx}"),
-                    desired_qty=_as_int(rec["desired_qty"], field_name="desired_qty"),
-                )
-            )
-        except KeyError as exc:
-            raise MalformedInputError(f"store {idx}: missing field {exc.args[0]!r}") from exc
+    articles = _records(payload, "articles", "article", Article, ("planned_total", "min_qty"))
+    stores = _records(payload, "stores", "store", Store, ("desired_qty",))
     base = Path(base_dir) if base_dir is not None else None
     distances = _parse_distances_block(payload["distances"], len(articles), base)
     return DistributionInstance(
-        articles=tuple(articles),
-        stores=tuple(stores),
+        articles=articles,
+        stores=stores,
         alpha=alpha,
         distances=distances,
         big_m_policy=policy,

@@ -43,7 +43,7 @@ from .solver import (
     solve_exact,
     solve_heuristic,
 )
-from .variety import VarietyMeasure, variety
+from .variety import VarietyMeasure, check_monotonicity, variety
 
 __all__ = [
     "LinearityConfig",
@@ -331,13 +331,11 @@ def verify_counterexamples() -> CounterexampleReport:
     ]
     checks = []
     for measure, geometry, d, expected_held in cases:
-        base = tuple(range(d.n - 1))
-        added = d.n - 1
-        before = variety(measure, base, d)
-        after = variety(measure, base + (added,), d)
-        held = after >= before - 1e-12
+        result = check_monotonicity(measure, d, range(d.n - 1), d.n - 1)
         checks.append(
-            CounterexampleCheck(measure, geometry, before, after, held, expected_held)
+            CounterexampleCheck(
+                measure, geometry, result.before, result.after, result.held, expected_held
+            )
         )
     report = CounterexampleReport(tuple(checks))
     if not report.all_as_expected:

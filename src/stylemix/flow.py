@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 __all__ = ["Edge", "CirculationResult", "feasible_circulation", "cut_violation"]
 
@@ -124,17 +124,8 @@ def feasible_circulation(n_nodes: int, edges: list[Edge]) -> CirculationResult:
         )
         return CirculationResult(True, flows, None)
 
-    residual = cap - flow
-    reached_mask = np.zeros(n_total, dtype=bool)
-    frontier = [ss]
-    reached_mask[ss] = True
-    while frontier:
-        u = frontier.pop()
-        for v in np.nonzero(residual[u] > 0)[0]:
-            if not reached_mask[v]:
-                reached_mask[v] = True
-                frontier.append(int(v))
-    reached = frozenset(int(v) for v in range(n_nodes) if reached_mask[v])
+    order = breadth_first_order(csr_matrix(cap - flow > 0), ss, return_predecessors=False)
+    reached = frozenset(int(v) for v in order if v < n_nodes)
     return CirculationResult(False, None, reached)
 
 

@@ -22,7 +22,6 @@ from .core import DistributionInstance, DistributionPlan, ensure_valid
 __all__ = [
     "LpRow",
     "MilpModel",
-    "LinearizationVars",
     "build_milp",
     "export_lp",
     "linearization_witness",
@@ -296,64 +295,41 @@ def export_lp(instance: DistributionInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class LinearizationVars:
-    """Auxiliary variable values induced by an assignment pattern.
-
-    r[s] = 1 / (style count of store s), u[i, s] = r[s] * y[i, s], and
-    v[s] = sum over pairs i < j of d_ij * w[i, j, s], where
-    w[i, j, s] = r[s] * y[i, s] * y[j, s] (see ``linearization_witness``).
-    """
-
-    r: tuple[float, ...]
-    u: np.ndarray
-    v: tuple[float, ...]
-
-    @classmethod
-    def from_pattern(cls, instance: DistributionInstance, y: np.ndarray) -> "LinearizationVars":
-        y = np.asarray(y)
-        n, s = y.shape
-        d = instance.distances.entries
-        counts = y.sum(axis=0)
-        if np.any(counts < 2):
-            raise ValueError("every store needs at least two styles for r = 1/count")
-        r = tuple(1.0 / float(c) for c in counts)
-        u = np.zeros((n, s))
-        v = []
-        for t in range(s):
-            for i in range(n):
-                u[i, t] = r[t] * float(y[i, t])
-            total = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total += float(d[i, j]) * (r[t] * float(y[i, t]) * float(y[j, t]))
-            v.append(total)
-        u.setflags(write=False)
-        return cls(r, u, tuple(v))
-
-
 def linearization_witness(instance: DistributionInstance, plan: DistributionPlan) -> dict[str, float]:
     """Flat variable assignment for a plan, keyed by LP variable names.
 
-    Substituting this dict into every row of ``build_milp(instance)``
-    satisfies the whole system when the plan is feasible; see
-    ``check_assignment``.
+    r, u and w take the values the module docstring gives them, and
+    v_s = sum over i < j of d_ij * w_i_j_s. Substituting this dict into
+    every row of ``build_milp(instance)`` satisfies the whole system
+    when the plan is feasible; see ``check_assignment``.
+
+    Raises:
+        ValueError: Some store has fewer than two styles.
     """
-    aux = LinearizationVars.from_pattern(instance, plan.y)
-    n, s = plan.x.shape
-    values: dict[str, float] = {}
-    for i in range(n):
-        for t in range(s):
-            values[var_x(i, t)] = float(plan.x[i, t])
-            values[var_y(i, t)] = float(plan.y[i, t])
-            values[var_u(i, t)] = float(aux.u[i, t])
-    for t in range(s):
-        values[var_r(t)] = aux.r[t]
-        values[var_v(t)] = aux.v[t]
+    x, y = plan.x, plan.y
+    n, s = y.shape
+    d = instance.distances.entries
+    counts = y.sum(axis=0)
+    if np.any(counts < 2):
+        raise ValueError("every store needs at least two styles for r = 1/count")
+    r = [1.0 / float(c) for c in counts]
+    v = [0.0] * s
+    w: dict[str, float] = {}
     for i in range(n):
         for j in range(i + 1, n):
             for t in range(s):
-                values[var_w(i, j, t)] = aux.r[t] * float(plan.y[i, t]) * float(plan.y[j, t])
+                w[var_w(i, j, t)] = w_ijt = r[t] * float(y[i, t]) * float(y[j, t])
+                v[t] += float(d[i, j]) * w_ijt
+    values: dict[str, float] = {}
+    for i in range(n):
+        for t in range(s):
+            values[var_x(i, t)] = float(x[i, t])
+            values[var_y(i, t)] = float(y[i, t])
+            values[var_u(i, t)] = r[t] * float(y[i, t])
+    for t in range(s):
+        values[var_r(t)] = r[t]
+        values[var_v(t)] = v[t]
+    values.update(w)
     return values
 
 

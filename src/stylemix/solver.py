@@ -210,9 +210,22 @@ class SolveLimits:
 
 @dataclass(frozen=True)
 class HeuristicConfig:
+    """Settings for the heuristic.
+
+    max_iters caps accepted local-search moves (0 skips the polish);
+    restarts is the number of construction attempts. A negative
+    max_iters or fewer than one restart raises ValueError.
+    """
+
     seed: int = 0
     max_iters: int = 10_000
     restarts: int = 16
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -234,19 +247,19 @@ class SolveReport:
     def objective(self) -> float | None:
         return None if self.plan is None else self.plan.objective
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        """Report-file payload; wall_time_s is null so the bytes repeat."""
+        plan = (
+            {"objective": None, "per_store_variety": [], "x": [], "y": []}
+            if self.plan is None
+            else self.plan.to_dict()
+        )
+        return {
             "status": self.status.value,
-            "objective": self.objective,
-            "per_store_variety": (
-                [] if self.plan is None else list(self.plan.per_store_variety)
-            ),
-            "x": [] if self.plan is None else self.plan.x.tolist(),
-            "y": [] if self.plan is None else self.plan.y.astype(int).tolist(),
+            **plan,
             "iterations": self.iterations,
-            "wall_time_s": self.wall_time if include_wall_time else None,
+            "wall_time_s": None,
         }
-        return payload
 
 
 def _check_pattern_shape(instance: DistributionInstance, pattern: AssignmentPattern) -> None:
@@ -343,17 +356,11 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
     _check_pattern_shape(instance, pattern)
     y = pattern.y
     n, s = y.shape
-    for t in range(s):
-        cap_t = instance.big_m(t)
-        for i in range(n):
-            if y[i, t] and instance.articles[i].min_qty > cap_t:
-                return QuantityResult(
-                    False,
-                    certificate=EdgeCertificate(
-                        i, t, instance.articles[i].min_qty, cap_t
-                    ),
-                )
     edges, assign_pos, n_nodes = _build_edges(instance, y)
+    for (i, t), pos in assign_pos.items():
+        edge = edges[pos]
+        if edge.lower > edge.cap:
+            return QuantityResult(False, certificate=EdgeCertificate(i, t, edge.lower, edge.cap))
     result = feasible_circulation(n_nodes, edges)
     if result.feasible:
         x = np.zeros((n, s), dtype=np.int64)
@@ -916,7 +923,7 @@ def solve_heuristic(
     config = config or HeuristicConfig()
     started = time.perf_counter()
     last_certificate = None
-    for attempt in range(max(1, config.restarts)):
+    for attempt in range(config.restarts):
         state = _SearchState(instance)
         priority = list(range(instance.n_articles))
         if attempt > 0:

@@ -31,7 +31,6 @@ __all__ = [
     "VarietyMeasure",
     "MONOTONICITY_TOLERANCE",
     "variety",
-    "pair_distance_sum",
     "marginal_gain",
     "check_monotonicity",
     "MonotonicityResult",
@@ -56,13 +55,6 @@ def _validated_indices(subset: Iterable[int], n: int) -> np.ndarray:
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise SubsetIndexError(f"index {bad} outside [0, {n})")
     return np.asarray(idx, dtype=np.intp)
-
-
-def pair_distance_sum(subset: Iterable[int], d: DistanceMatrix) -> float:
-    """Sum of d_ij over all unordered pairs in the subset."""
-    idx = _validated_indices(subset, d.n)
-    sub = d.entries[np.ix_(idx, idx)]
-    return float(sub.sum()) / 2.0
 
 
 def variety(measure: VarietyMeasure, subset: Iterable[int], d: DistanceMatrix) -> float:
@@ -108,8 +100,7 @@ def marginal_gain(
 ) -> float:
     """Change in variety from adding ``candidate`` to ``subset``.
 
-    MAX_SUM_SUM, MAX_MEAN, and MAX_MIN are computed incrementally in
-    O(|subset|); the two hybrid measures fall back to recomputation.
+    Both subsets are scored in full, under every measure.
     """
     idx = _validated_indices(subset, d.n)
     c = int(candidate)
@@ -117,22 +108,7 @@ def marginal_gain(
         raise SubsetIndexError(f"index {c} outside [0, {d.n})")
     if c in idx:
         raise SubsetIndexError(f"candidate {c} is already in the subset")
-    k = idx.size
-    new_links = d.entries[c, idx]
-    if measure is VarietyMeasure.MAX_SUM_SUM:
-        return float(new_links.sum())
-    if measure is VarietyMeasure.MAX_MEAN:
-        pair_sum = float(d.entries[np.ix_(idx, idx)].sum()) / 2.0
-        before = 0.0 if k == 1 else pair_sum / k
-        return (pair_sum + float(new_links.sum())) / (k + 1) - before
-    if measure is VarietyMeasure.MAX_MIN:
-        before = variety(measure, idx, d)
-        if k == 1:
-            return float(new_links.min())
-        return float(min(before, float(new_links.min()))) - before
-    before = variety(measure, idx, d)
-    after = variety(measure, np.append(idx, c), d)
-    return after - before
+    return variety(measure, np.append(idx, c), d) - variety(measure, idx, d)
 
 
 @dataclass(frozen=True)

@@ -183,14 +183,14 @@ class TestSolve:
         )
         assert code == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert sorted(payload) == [
-            "iterations",
+        assert list(payload) == [
+            "status",
             "objective",
             "per_store_variety",
-            "status",
-            "wall_time_s",
             "x",
             "y",
+            "iterations",
+            "wall_time_s",
         ]
         x = np.asarray(payload["x"], dtype=float)
         y = np.asarray(payload["y"], dtype=int)
@@ -239,9 +239,17 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "infeasible:" in captured.err
         assert "certificate:" in captured.err
-        payload = json.loads(captured.out)
-        assert payload["status"] == "infeasible"
-        assert payload["objective"] is None
+        assert captured.out == (
+            "{\n"
+            '  "status": "infeasible",\n'
+            '  "objective": null,\n'
+            '  "per_store_variety": [],\n'
+            '  "x": [],\n'
+            '  "y": [],\n'
+            '  "iterations": 0,\n'
+            '  "wall_time_s": null\n'
+            "}\n"
+        )
 
     def test_budget_zero_exits_4(self, infeasible_path, capsys):
         code = main(
@@ -261,7 +269,13 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     @pytest.mark.parametrize(
         "flag, value",
-        [("--time-budget", "nan"), ("--time-budget", "-1"), ("--max-patterns", "-1")],
+        [
+            ("--time-budget", "nan"),
+            ("--time-budget", "-1"),
+            ("--max-patterns", "-1"),
+            ("--max-iters", "-1"),
+            ("--restarts", "0"),
+        ],
     )
     def test_bad_budget_exits_2(self, line_path, capsys, flag, value, mode):
         # A NaN deadline never passes, so it would not bound the run.
@@ -563,6 +577,25 @@ def test_fuzzed_instance_field_exits_with_documented_code(tmp_path, path, value)
         code = main(["solve", "--instance", str(instance), "--output", str(tmp_path / "plan.json")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "x.json", "--format", "csv"],
+        ["export-lp", "--instance", "x.json", "--seed", "3"],
+        ["export-lp", "--instance", "x.json", "--format", "csv"],
+        ["distances", "--catalog", "x.csv", "--seed", "3"],
+    ],
+    ids=["solve-format", "export-lp-seed", "export-lp-format", "distances-seed"],
+)
+def test_flag_a_command_ignores_is_rejected(argv, capsys):
+    # --seed is taken only by solve and experiment, --format only by
+    # distances and experiment.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parser_exposes_documented_defaults():

@@ -5,9 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stylemix.core import Article, DistanceMatrix, DistributionInstance, Store
+from stylemix.core import Article, DistanceMatrix, DistributionInstance, DistributionPlan, Store
 from stylemix.lp import (
-    LinearizationVars,
     build_milp,
     check_assignment,
     export_lp,
@@ -100,18 +99,20 @@ class TestWitness:
     def test_reciprocal_values(self):
         instance, x = random_feasible_instance(8)
         plan = plan_from_quantities(instance, x)
-        aux = LinearizationVars.from_pattern(instance, plan.y)
+        values = linearization_witness(instance, plan)
         for t in range(instance.n_stores):
             count = int(plan.y[:, t].sum())
-            assert aux.r[t] == pytest.approx(1.0 / count)
-            assert aux.u[:, t].sum() == pytest.approx(1.0)
+            assert values[f"r_{t}"] == pytest.approx(1.0 / count)
+            u_sum = sum(values[f"u_{i}_{t}"] for i in range(instance.n_articles))
+            assert u_sum == pytest.approx(1.0)
 
     def test_single_style_store_rejected(self):
         instance, _ = random_feasible_instance(2)
         y = np.zeros((instance.n_articles, instance.n_stores), dtype=np.int8)
         y[0, :] = 1
+        plan = DistributionPlan(y, y, (0.0,) * instance.n_stores, 0.0)
         with pytest.raises(ValueError):
-            LinearizationVars.from_pattern(instance, y)
+            linearization_witness(instance, plan)
 
     def test_perturbed_witness_is_caught(self):
         instance, x = random_feasible_instance(5)

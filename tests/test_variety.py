@@ -14,7 +14,6 @@ from stylemix.variety import (
     VarietyMeasure,
     check_monotonicity,
     marginal_gain,
-    pair_distance_sum,
     variety,
 )
 
@@ -141,14 +140,6 @@ class TestAgainstOracle:
         subset = (0, 2, 4, 6)
         expected = variety(VarietyMeasure.MAX_SUM_SUM, subset, d) / len(subset)
         assert variety(VarietyMeasure.MAX_MEAN, subset, d) == pytest.approx(expected)
-
-    def test_pair_distance_sum_matches(self):
-        rng = np.random.default_rng(12)
-        d = random_distance_matrix(rng, 6)
-        subset = (1, 3, 5)
-        assert pair_distance_sum(subset, d) == pytest.approx(
-            brute_variety(VarietyMeasure.MAX_SUM_SUM, subset, d.entries)
-        )
 
 
 class TestMarginalGain:
