@@ -73,7 +73,6 @@ from .variety import (
     MonotonicityResult,
     VarietyMeasure,
     check_monotonicity,
-    marginal_gain,
     variety,
 )
 

@@ -123,17 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=EXACT_SIZE_LIMIT,
         help="auto mode runs exact when articles*stores is at most this",
     )
-    p.add_argument("--max-iters", type=int, default=10_000, help="heuristic move cap")
     p.add_argument(
-        "--time-budget", type=float, default=60.0, help="exact solver seconds cap"
+        "--max-iters", type=int, default=HeuristicConfig.max_iters, help="heuristic move cap"
+    )
+    p.add_argument(
+        "--time-budget", type=float, default=SolveLimits.time_budget, help="exact solver seconds cap"
     )
     p.add_argument(
         "--max-patterns",
         type=int,
-        default=1_000_000,
+        default=SolveLimits.max_patterns,
         help="exact solver cap on flow-checked patterns",
     )
-    p.add_argument("--restarts", type=int, default=16, help="heuristic restarts")
+    p.add_argument(
+        "--restarts", type=int, default=HeuristicConfig.restarts, help="heuristic restarts"
+    )
 
     p = sub.add_parser(
         "export-lp", parents=[common], help="emit the MILP in LP text format"
@@ -159,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sizes", default="2..20", help="subset sizes, e.g. 2..20 or 3,5,9"
     )
-    p.add_argument("--reps", type=int, default=1000, help="repetitions per size")
+    p.add_argument(
+        "--reps", type=int, default=LinearityConfig.repetitions, help="repetitions per size"
+    )
     p.add_argument(
         "--metric",
         choices=tuple(m.value for m in Metric),
@@ -333,6 +339,11 @@ def _experiment_baseline(args, seed: int) -> int:
 
 
 def cmd_experiment(args) -> int:
+    # Only linearity reads --format, and counterexamples draws nothing at random.
+    if args.format == "csv" and args.kind != "linearity":
+        raise ValueError(f"--format csv applies only to --kind linearity, not {args.kind}")
+    if args.seed is not None and args.kind == "counterexamples":
+        raise ValueError("--seed does not apply to --kind counterexamples")
     seed = _resolve_seed(args)
     if args.kind == "linearity":
         return _experiment_linearity(args, seed)

@@ -15,11 +15,11 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -253,10 +253,6 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
                     raise MalformedInputError(
                         f"row {sid!r}: cannot parse vector entry {cell!r}"
                     ) from exc
-            if not math.isfinite(value):
-                raise NonFiniteValueError(
-                    f"row {sid!r}: non-finite vector entry {cell!r}"
-                )
             values.append(value)
         if not values:
             raise MalformedInputError(f"row {sid!r} has no vector entries")
@@ -266,8 +262,6 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
             raise DimensionMismatchError(
                 f"row {sid!r} has {len(values)} entries, expected {dim}"
             )
-        if sid in ids:
-            raise DuplicateIdError(f"duplicate style id {sid!r}")
         ids.append(sid)
         vectors.append(values)
     if not ids:
@@ -275,29 +269,17 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
     return FeatureCatalog(tuple(ids), np.array(vectors, dtype=np.float64))
 
 
-def _decode_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
-def load_catalog(source: str | bytes | IO, format: str = "csv") -> FeatureCatalog:
-    """Parse catalog content in CSV or JSON form.
+def load_catalog(text: str, format: str = "csv") -> FeatureCatalog:
+    """Parse catalog text in CSV or JSON form.
 
     Args:
-        source: Text, bytes, or a file-like object holding the content.
+        text: The catalog content.
         format: ``"csv"`` (one row per style, id first, no header) or
             ``"json"`` (array of ``{"id", "vector"}`` objects).
 
     Returns:
         A validated FeatureCatalog preserving input order.
     """
-    text = _decode_text(source)
     fmt = format.strip().lower()
     if fmt == "csv":
         rows = []
@@ -586,55 +568,33 @@ def ensure_valid(instance: DistributionInstance) -> DistributionInstance:
 
 @dataclass(frozen=True, eq=False)
 class DistributionPlan:
-    """Integer shipment quantities plus derived assignment indicators.
+    """Integer shipment quantities and the variety each store gets.
 
-    Invariants enforced at construction: x and y have identical shape,
-    x >= 0, y = 1 exactly where x >= 1, and the objective equals the sum
-    of per-store varieties within 1e-9 relative tolerance.
+    x is a non-negative 2-D array with one column per store. ``y`` (1
+    exactly where x >= 1) and ``objective`` (the sum of the per-store
+    varieties) are derived at construction, so neither can disagree.
     """
 
     x: np.ndarray
-    y: np.ndarray
     per_store_variety: tuple[float, ...]
-    objective: float
+    y: np.ndarray = field(init=False)
+    objective: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int8)
-        if x.ndim != 2 or x.shape != y.shape:
-            raise DimensionMismatchError(
-                f"x shape {x.shape} and y shape {y.shape} must match as 2-D arrays"
-            )
+        if x.ndim != 2:
+            raise DimensionMismatchError(f"x must be a 2-D array, got shape {x.shape}")
         if np.any(x < 0):
             raise MalformedInputError("shipment quantities must be non-negative")
-        if not np.array_equal((x >= 1).astype(np.int8), y):
-            raise MalformedInputError(
-                "assignment indicators must equal 1 exactly where x >= 1"
-            )
         varieties = tuple(float(v) for v in self.per_store_variety)
         if len(varieties) != x.shape[1]:
             raise DimensionMismatchError(
                 f"{len(varieties)} variety values for {x.shape[1]} stores"
             )
-        total = sum(varieties)
-        if not math.isclose(self.objective, total, rel_tol=1e-9, abs_tol=1e-9):
-            raise MalformedInputError(
-                f"objective {self.objective} does not equal the per-store sum {total}"
-            )
         object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "y", _readonly((x >= 1).astype(np.int8)))
         object.__setattr__(self, "per_store_variety", varieties)
-        object.__setattr__(self, "objective", float(self.objective))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DistributionPlan):
-            return NotImplemented
-        return (
-            np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and self.per_store_variety == other.per_store_variety
-            and self.objective == other.objective
-        )
+        object.__setattr__(self, "objective", float(sum(varieties)))
 
     @property
     def n_articles(self) -> int:
@@ -709,7 +669,7 @@ def _records(payload: dict, key: str, record: str, cls, int_fields: tuple[str, .
     return tuple(records)
 
 
-def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None = None) -> DistributionInstance:
+def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> DistributionInstance:
     """Parse an instance from JSON text.
 
     The tolerance ``alpha`` is captured as an exact decimal Fraction
@@ -720,7 +680,6 @@ def load_instance(source: str | bytes | IO, base_dir: str | os.PathLike | None =
         MalformedInputError: On structural problems. Semantic violations
             are left to ``validate_instance``.
     """
-    text = _decode_text(source)
     try:
         payload = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:

@@ -59,7 +59,6 @@ __all__ = [
     "compare_against_baseline",
     "demo_catalog",
     "demo_instance",
-    "EXACT_SIZE_LIMIT",
 ]
 
 
@@ -434,12 +433,25 @@ def baseline_allocate(instance: DistributionInstance) -> DistributionPlan:
 class BaselineComparison:
     """Objective gap between the baseline and an optimizing solver."""
 
-    baseline_objective: float
-    optimized_objective: float
-    improvement_pct: float
     baseline_plan: DistributionPlan
     optimized_plan: DistributionPlan
     optimizer: str
+
+    @property
+    def baseline_objective(self) -> float:
+        return self.baseline_plan.objective
+
+    @property
+    def optimized_objective(self) -> float:
+        return self.optimized_plan.objective
+
+    @property
+    def improvement_pct(self) -> float:
+        """Percent gain over the baseline; inf when only the baseline is 0."""
+        base, opt = self.baseline_objective, self.optimized_objective
+        if abs(base) < 1e-12:
+            return 0.0 if abs(opt) < 1e-12 else math.inf
+        return 100.0 * (opt - base) / base
 
     def to_json(self) -> str:
         payload = {
@@ -478,18 +490,4 @@ def compare_against_baseline(
             polished = improve_plan(instance, base_plan, HeuristicConfig(seed=seed))
             if polished.plan.objective > report.plan.objective:
                 report = polished
-    opt_plan = report.plan
-    base_obj = base_plan.objective
-    opt_obj = opt_plan.objective
-    if abs(base_obj) < 1e-12:
-        pct = 0.0 if abs(opt_obj) < 1e-12 else math.inf
-    else:
-        pct = 100.0 * (opt_obj - base_obj) / base_obj
-    return BaselineComparison(
-        baseline_objective=base_obj,
-        optimized_objective=opt_obj,
-        improvement_pct=pct,
-        baseline_plan=base_plan,
-        optimized_plan=opt_plan,
-        optimizer=optimizer,
-    )
+    return BaselineComparison(base_plan, report.plan, optimizer)

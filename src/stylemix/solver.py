@@ -383,16 +383,9 @@ def _store_varieties(instance: DistributionInstance, y: np.ndarray) -> list[floa
 
 
 def plan_from_quantities(instance: DistributionInstance, x: np.ndarray) -> DistributionPlan:
-    """Build a plan from shipment quantities, deriving y and varieties."""
+    """Build a plan from shipment quantities, deriving the varieties."""
     x = np.asarray(x, dtype=np.int64)
-    y = (x >= 1).astype(np.int8)
-    varieties = _store_varieties(instance, y)
-    return DistributionPlan(
-        x=x,
-        y=y,
-        per_store_variety=tuple(varieties),
-        objective=float(sum(varieties)),
-    )
+    return DistributionPlan(x, tuple(_store_varieties(instance, x >= 1)))
 
 
 def plan_violations(instance: DistributionInstance, plan: DistributionPlan) -> list[Violation]:
@@ -889,6 +882,8 @@ def _scan_toggle(state: _SearchState):
             delta = state.gain(t, add=i)
             if delta > OBJECTIVE_TOLERANCE:
                 yield delta, (), ((t, i),)
+        # A drop can gain only on raw distance entries: under both built-in
+        # metrics MAX_MEAN never falls when a style is added (see README).
         if len(state.sets[t]) > 2:
             for i in sorted(state.sets[t]):
                 delta = state.gain(t, drop=i)
@@ -953,12 +948,9 @@ def improve_plan(
         ValidationError: Invalid instance.
         InfeasiblePlanError: The starting plan violates constraints.
     """
-    ensure_valid(instance)
     config = config or HeuristicConfig()
     started = time.perf_counter()
-    violations = plan_violations(instance, plan)
-    if violations:
-        raise InfeasiblePlanError(violations)
+    evaluate_plan(instance, plan)
     state = _SearchState(instance)
     for t in range(instance.n_stores):
         for i in plan.store_set(t):

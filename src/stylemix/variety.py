@@ -31,7 +31,6 @@ __all__ = [
     "VarietyMeasure",
     "MONOTONICITY_TOLERANCE",
     "variety",
-    "marginal_gain",
     "check_monotonicity",
     "MonotonicityResult",
 ]
@@ -90,25 +89,6 @@ def variety(measure: VarietyMeasure, subset: Iterable[int], d: DistanceMatrix) -
         masked = sub + np.where(np.eye(k, dtype=bool), np.inf, 0.0)
         return float(masked.min(axis=1).sum())
     raise ValueError(f"unhandled measure {measure!r}")
-
-
-def marginal_gain(
-    measure: VarietyMeasure,
-    subset: Iterable[int],
-    candidate: int,
-    d: DistanceMatrix,
-) -> float:
-    """Change in variety from adding ``candidate`` to ``subset``.
-
-    Both subsets are scored in full, under every measure.
-    """
-    idx = _validated_indices(subset, d.n)
-    c = int(candidate)
-    if c < 0 or c >= d.n:
-        raise SubsetIndexError(f"index {c} outside [0, {d.n})")
-    if c in idx:
-        raise SubsetIndexError(f"candidate {c} is already in the subset")
-    return variety(measure, np.append(idx, c), d) - variety(measure, idx, d)
 
 
 @dataclass(frozen=True)

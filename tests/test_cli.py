@@ -26,7 +26,8 @@ from stylemix.core import (
     Store,
     instance_to_json,
 )
-from stylemix.experiments import EXACT_SIZE_LIMIT, demo_instance
+from stylemix.experiments import demo_instance
+from stylemix.solver import EXACT_SIZE_LIMIT
 
 
 def _write_instance(path, instance):
@@ -596,6 +597,23 @@ def test_flag_a_command_ignores_is_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--kind", "counterexamples", "--format", "csv"], "--format"),
+        (["--kind", "baseline", "--format", "csv"], "--format"),
+        (["--kind", "counterexamples", "--seed", "3"], "--seed"),
+    ],
+    ids=["counterexamples-format", "baseline-format", "counterexamples-seed"],
+)
+def test_flag_an_experiment_kind_ignores_is_rejected(argv, flag, capsys):
+    # Only linearity reads --format; counterexamples reads no --seed.
+    assert main(["experiment", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
 
 
 def test_parser_exposes_documented_defaults():

@@ -299,30 +299,10 @@ class TestValidation:
 
 
 class TestDistributionPlan:
-    def test_coupling_enforced(self):
-        with pytest.raises(MalformedInputError):
-            DistributionPlan(
-                x=np.array([[1, 0], [0, 1]]),
-                y=np.array([[1, 1], [0, 1]]),
-                per_store_variety=(0.0, 0.0),
-                objective=0.0,
-            )
-
-    def test_objective_must_match_varieties(self):
-        with pytest.raises(MalformedInputError):
-            DistributionPlan(
-                x=np.array([[1, 1], [1, 1]]),
-                y=np.array([[1, 1], [1, 1]]),
-                per_store_variety=(1.0, 1.0),
-                objective=3.0,
-            )
-
     def test_store_set(self):
         plan = DistributionPlan(
             x=np.array([[2, 0], [1, 3], [0, 4]]),
-            y=np.array([[1, 0], [1, 1], [0, 1]]),
             per_store_variety=(1.0, 2.0),
-            objective=3.0,
         )
         assert plan.store_set(0) == (0, 1)
         assert plan.store_set(1) == (1, 2)

@@ -9,7 +9,6 @@ import pytest
 from stylemix.core import DistanceMatrix, Metric, distance_matrix
 from stylemix.errors import PopulationTooSmallError
 from stylemix.experiments import (
-    EXACT_SIZE_LIMIT,
     LinearityConfig,
     baseline_allocate,
     compare_against_baseline,
@@ -20,7 +19,7 @@ from stylemix.experiments import (
     verify_counterexamples,
 )
 from stylemix.core import validate_instance
-from stylemix.solver import plan_violations, solve_exact
+from stylemix.solver import EXACT_SIZE_LIMIT, plan_violations, solve_exact
 from stylemix.variety import VarietyMeasure
 
 from conftest import random_feasible_instance

@@ -1,6 +1,8 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every module uses each name it imports and has each
+name it exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,11 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = [name for name in _imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_exist(path):
+    # A name deleted but left in __all__ breaks only star imports.
+    module = importlib.import_module(f"stylemix.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == [], f"{path.name} lists names it lacks in __all__: {missing}"

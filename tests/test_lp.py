@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from stylemix.core import Article, DistanceMatrix, DistributionInstance, DistributionPlan, Store
 from stylemix.lp import (
@@ -13,7 +15,7 @@ from stylemix.lp import (
     linearization_witness,
     var_w,
 )
-from stylemix.solver import plan_from_quantities
+from stylemix.solver import plan_from_quantities, solve_exact
 
 from conftest import random_feasible_instance
 
@@ -110,7 +112,7 @@ class TestWitness:
         instance, _ = random_feasible_instance(2)
         y = np.zeros((instance.n_articles, instance.n_stores), dtype=np.int8)
         y[0, :] = 1
-        plan = DistributionPlan(y, y, (0.0,) * instance.n_stores, 0.0)
+        plan = DistributionPlan(y, (0.0,) * instance.n_stores)
         with pytest.raises(ValueError):
             linearization_witness(instance, plan)
 
@@ -169,3 +171,64 @@ class TestExport:
         assert end > start
         for line in lines[start + 1 : end + 1]:
             assert line.startswith("    ")
+
+
+def highs_optimum(instance: DistributionInstance) -> float:
+    """Optimum of ``build_milp(instance)`` found by scipy's HiGHS.
+
+    Presolve is off: with it on, HiGHS reports status optimal at 76.257 on
+    ``random_feasible_instance(9)``, whose optimum is 118.264.
+    """
+    model = build_milp(instance)
+    column = {name: k for k, name in enumerate(model.variable_names)}
+    entries, rows, cols = [], [], []
+    lower = np.full(len(model.rows), -np.inf)
+    upper = np.full(len(model.rows), np.inf)
+    for r, row in enumerate(model.rows):
+        for name, coef in row.terms:
+            entries.append(coef)
+            rows.append(r)
+            cols.append(column[name])
+        if row.sense != "<=":
+            lower[r] = row.rhs
+        if row.sense != ">=":
+            upper[r] = row.rhs
+    matrix = coo_array((entries, (rows, cols)), shape=(len(model.rows), len(column)))
+    cost = np.zeros(len(column))
+    for name, coef in model.objective:
+        cost[column[name]] -= coef
+    n_gen, n_bin = len(model.generals), len(model.binaries)
+    integrality = np.zeros(len(column))
+    integrality[: n_gen + n_bin] = 1
+    var_upper = np.full(len(column), np.inf)
+    var_upper[n_gen : n_gen + n_bin] = 1.0
+    result = milp(
+        cost,
+        integrality=integrality,
+        bounds=Bounds(0.0, var_upper),
+        constraints=LinearConstraint(matrix.tocsr(), lower, upper),
+        options={"presolve": False},
+    )
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+class TestHighsOracle:
+    """HiGHS on the exported model must reach the exact search's optimum."""
+
+    def test_matches_solve_exact_on_small_instances(self):
+        checked = 0
+        for seed in range(40):
+            instance, _ = random_feasible_instance(seed)
+            if instance.n_articles * instance.n_stores > 14:
+                continue
+            expected = solve_exact(instance).objective
+            assert highs_optimum(instance) == pytest.approx(expected, rel=1e-6), seed
+            checked += 1
+        assert checked == 31
+
+    def test_seed_9_where_presolve_misleads(self):
+        instance, _ = random_feasible_instance(9)
+        assert (instance.n_articles, instance.n_stores) == (4, 1)
+        assert highs_optimum(instance) == pytest.approx(118.264, abs=1e-3)
+        assert solve_exact(instance).objective == pytest.approx(118.264, abs=1e-3)

@@ -24,7 +24,12 @@ from stylemix.errors import (
     TooFewStylesError,
 )
 from stylemix import solver
-from stylemix.experiments import baseline_allocate, demo_instance, synthetic_population
+from stylemix.experiments import (
+    baseline_allocate,
+    demo_catalog,
+    demo_instance,
+    synthetic_population,
+)
 from stylemix.flow import cut_violation, feasible_circulation
 from stylemix.solver import (
     AssignmentPattern,
@@ -367,6 +372,27 @@ class TestSolveExact:
             pass
         assert time.perf_counter() - started < 5.0
 
+    def test_time_budget_bounds_the_search(self):
+        # The demo catalog over seven stores lists its subsets quickly, but
+        # the search flow-checks thousands of infeasible patterns, far
+        # beyond the budget, before max_patterns would stop it.
+        catalog = demo_catalog()
+        inst = DistributionInstance(
+            articles=tuple(Article(sid, 16, 4) for sid in catalog.ids),
+            stores=tuple(
+                Store(f"s{t}", q) for t, q in enumerate((30, 26, 22, 18, 14, 10, 12))
+            ),
+            alpha=Fraction("0.2"),
+            distances=distance_matrix(catalog),
+        )
+        started = time.perf_counter()
+        try:
+            report = solve_exact(inst, limits=SolveLimits(time_budget=0.5, max_patterns=20_000))
+            assert report.status is SolveStatus.FEASIBLE_HEURISTIC
+        except BudgetExceededError:
+            pass
+        assert time.perf_counter() - started < 2.5
+
     def test_budget_one_still_returns_a_plan(self, line_instance):
         report = solve_exact(
             line_instance, limits=SolveLimits(max_patterns=1, time_budget=None)
@@ -511,6 +537,24 @@ class TestSolveHeuristic:
             assert better.objective >= start.objective - 1e-9
             assert plan_violations(instance, better.plan) == []
 
+    def test_improve_plan_drops_a_style_on_a_raw_matrix(self):
+        # Raw distances from neither built-in metric, on which MAX_MEAN
+        # falls when style 2 joins: dropping it is an improving move.
+        inst = DistributionInstance(
+            articles=tuple(Article(f"a{i}", 10, 2) for i in range(3)),
+            stores=(Store("s0", 6),),
+            alpha=Fraction("0.5"),
+            distances=DistanceMatrix(
+                np.array([[0.0, 10.0, 0.1], [10.0, 0.0, 0.1], [0.1, 0.1, 0.0]])
+            ),
+        )
+        start = plan_from_quantities(inst, np.array([[2], [2], [2]]))
+        assert start.objective == pytest.approx(3.4)
+        report = improve_plan(inst, start)
+        assert report.iterations == 1
+        assert report.plan.y.tolist() == [[1], [1], [0]]
+        assert report.objective == pytest.approx(5.0)
+
 
 class TestPlanChecks:
     def test_variety_mismatch_detected(self):
@@ -518,10 +562,7 @@ class TestPlanChecks:
         result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
         plan = plan_from_quantities(inst, result.x)
         doctored = plan.__class__(
-            x=plan.x,
-            y=plan.y,
-            per_store_variety=(9.0, plan.per_store_variety[1]),
-            objective=9.0 + plan.per_store_variety[1],
+            x=plan.x, per_store_variety=(9.0, plan.per_store_variety[1])
         )
         codes = [v.code for v in plan_violations(inst, doctored)]
         assert "variety_mismatch" in codes
