@@ -18,10 +18,12 @@ inside report files so repeated runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -194,12 +196,20 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(text: str, output: Path | None) -> None:
+@contextlib.contextmanager
+def _opened(output: Path | None) -> Iterator[TextIO]:
+    """The text stream an output goes to: stdout, or the file, created afresh."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text, encoding="utf-8", newline="\n")
+        yield sys.stdout
+        return
+    output.parent.mkdir(parents=True, exist_ok=True)
+    with output.open("w", encoding="utf-8", newline="\n") as stream:
+        yield stream
+
+
+def _emit(text: str, output: Path | None) -> None:
+    with _opened(output) as stream:
+        stream.write(text)
 
 
 def _parse_sizes(spec: str) -> tuple[int, ...]:
@@ -271,9 +281,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    instance = read_instance_file(args.instance)
-    text = export_lp(instance)
-    _emit(text, args.output)
+    # Validate before the output is opened, so a bad instance leaves it untouched.
+    instance = ensure_valid(read_instance_file(args.instance))
+    with _opened(args.output) as stream:
+        export_lp(instance, stream)
     if args.output is not None:
         print(f"wrote {args.output}")
     return EXIT_OK

@@ -244,15 +244,14 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
                 raise MalformedInputError(
                     f"row {sid!r}: boolean is not a vector entry"
                 )
-            if isinstance(cell, (int, float)):
-                value = float(cell)
-            else:
-                try:
-                    value = float(str(cell).strip())
-                except ValueError as exc:
-                    raise MalformedInputError(
-                        f"row {sid!r}: cannot parse vector entry {cell!r}"
-                    ) from exc
+            # Text, not float(cell): an int beyond float range parses to
+            # inf, which FeatureCatalog rejects, instead of overflowing.
+            try:
+                value = float(str(cell).strip())
+            except ValueError as exc:
+                raise MalformedInputError(
+                    f"row {sid!r}: cannot parse vector entry {cell!r}"
+                ) from exc
             values.append(value)
         if not values:
             raise MalformedInputError(f"row {sid!r} has no vector entries")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .core import (
     Article,
@@ -191,6 +190,9 @@ def run_linearity(config: LinearityConfig) -> ExperimentReport:
     Raises:
         PopulationTooSmallError: A requested size exceeds the population.
     """
+    # scipy.stats costs about half of importing the CLI, and only this uses it.
+    from scipy.stats import spearmanr
+
     if isinstance(config.population, FeatureCatalog):
         d = distance_matrix(config.population, config.metric)
     else:

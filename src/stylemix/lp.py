@@ -8,12 +8,15 @@ integral y the constraint system pins these products exactly, so the
 linearization is exact, not a relaxation.
 
 Variable naming: x_i_s, y_i_s, r_s, u_i_s, w_i_j_s (i < j), v_s.
+One generator yields the rows; ``build_milp`` collects them and
+``export_lp`` streams them to a text stream one row at a time.
 Rendering is deterministic: identical instances yield identical bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -106,8 +109,12 @@ class MilpModel:
         return sum(coef * values[name] for name, coef in self.objective)
 
 
-def build_milp(instance: DistributionInstance) -> MilpModel:
-    """Assemble every row of the allocation MILP in deterministic order.
+def _rows(instance: DistributionInstance) -> Iterator[LpRow]:
+    """Yield every row of the allocation MILP in deterministic order.
+
+    This is the only source of the model's rows: ``build_milp`` collects
+    them and ``export_lp`` renders each one as it is yielded. The caller
+    validates the instance first.
 
     Row families, in emission order (n articles, s stores):
         store_ub_s, store_lb_s         store quantity bands      (2s rows)
@@ -119,118 +126,90 @@ def build_milp(instance: DistributionInstance) -> MilpModel:
                                        (4s * n(n-1)/2 rows)
         variety_s                      v_s definition            (s rows)
     """
-    ensure_valid(instance)
     n, s = instance.n_articles, instance.n_stores
     d = instance.distances.entries
-    rows: list[LpRow] = []
 
     for t in range(s):
         terms = tuple((var_x(i, t), 1.0) for i in range(n))
-        rows.append(LpRow(f"store_ub_{t}", terms, "<=", float(instance.upper_band(t))))
+        yield LpRow(f"store_ub_{t}", terms, "<=", float(instance.upper_band(t)))
     for t in range(s):
         terms = tuple((var_x(i, t), 1.0) for i in range(n))
-        rows.append(LpRow(f"store_lb_{t}", terms, ">=", float(instance.lower_band(t))))
+        yield LpRow(f"store_lb_{t}", terms, ">=", float(instance.lower_band(t)))
     for i in range(n):
         terms = tuple((var_x(i, t), 1.0) for t in range(s))
-        rows.append(
-            LpRow(f"resource_{i}", terms, "<=", float(instance.articles[i].planned_total))
-        )
+        yield LpRow(f"resource_{i}", terms, "<=", float(instance.articles[i].planned_total))
     for i in range(n):
         for t in range(s):
             m_i = float(instance.articles[i].min_qty)
-            rows.append(
-                LpRow(
-                    f"min_qty_{i}_{t}",
-                    ((var_x(i, t), 1.0), (var_y(i, t), -m_i)),
-                    ">=",
-                    0.0,
-                )
+            yield LpRow(
+                f"min_qty_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -m_i)), ">=", 0.0
             )
     for i in range(n):
         for t in range(s):
             cap_t = float(instance.big_m(t))
-            rows.append(
-                LpRow(
-                    f"cap_{i}_{t}",
-                    ((var_x(i, t), 1.0), (var_y(i, t), -cap_t)),
-                    "<=",
-                    0.0,
-                )
+            yield LpRow(
+                f"cap_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -cap_t)), "<=", 0.0
             )
     for t in range(s):
         terms = tuple((var_y(i, t), 1.0) for i in range(n))
-        rows.append(LpRow(f"min_styles_{t}", terms, ">=", 2.0))
+        yield LpRow(f"min_styles_{t}", terms, ">=", 2.0)
 
     for i in range(n):
         for t in range(s):
-            rows.append(
-                LpRow(
-                    f"u_lb_{i}_{t}",
-                    ((var_u(i, t), 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0)),
-                    ">=",
-                    -1.0,
-                )
+            yield LpRow(
+                f"u_lb_{i}_{t}",
+                ((var_u(i, t), 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0)),
+                ">=",
+                -1.0,
             )
     for i in range(n):
         for t in range(s):
-            rows.append(
-                LpRow(
-                    f"u_le_r_{i}_{t}",
-                    ((var_u(i, t), 1.0), (var_r(t), -1.0)),
-                    "<=",
-                    0.0,
-                )
-            )
+            yield LpRow(f"u_le_r_{i}_{t}", ((var_u(i, t), 1.0), (var_r(t), -1.0)), "<=", 0.0)
     for i in range(n):
         for t in range(s):
-            rows.append(
-                LpRow(
-                    f"u_le_y_{i}_{t}",
-                    ((var_u(i, t), 1.0), (var_y(i, t), -1.0)),
-                    "<=",
-                    0.0,
-                )
-            )
+            yield LpRow(f"u_le_y_{i}_{t}", ((var_u(i, t), 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
     for t in range(s):
         terms = tuple((var_u(i, t), 1.0) for i in range(n))
-        rows.append(LpRow(f"u_sum_{t}", terms, "=", 1.0))
+        yield LpRow(f"u_sum_{t}", terms, "=", 1.0)
 
     for i in range(n):
         for j in range(i + 1, n):
             for t in range(s):
                 w = var_w(i, j, t)
-                rows.append(
-                    LpRow(
-                        f"w_lb_{i}_{j}_{t}",
-                        (
-                            (w, 1.0),
-                            (var_r(t), -1.0),
-                            (var_y(i, t), -1.0),
-                            (var_y(j, t), -1.0),
-                        ),
-                        ">=",
-                        -2.0,
-                    )
+                yield LpRow(
+                    f"w_lb_{i}_{j}_{t}",
+                    ((w, 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0), (var_y(j, t), -1.0)),
+                    ">=",
+                    -2.0,
                 )
-                rows.append(
-                    LpRow(f"w_le_yi_{i}_{j}_{t}", ((w, 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
-                )
-                rows.append(
-                    LpRow(f"w_le_yj_{i}_{j}_{t}", ((w, 1.0), (var_y(j, t), -1.0)), "<=", 0.0)
-                )
-                rows.append(
-                    LpRow(f"w_le_r_{i}_{j}_{t}", ((w, 1.0), (var_r(t), -1.0)), "<=", 0.0)
-                )
+                yield LpRow(f"w_le_yi_{i}_{j}_{t}", ((w, 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
+                yield LpRow(f"w_le_yj_{i}_{j}_{t}", ((w, 1.0), (var_y(j, t), -1.0)), "<=", 0.0)
+                yield LpRow(f"w_le_r_{i}_{j}_{t}", ((w, 1.0), (var_r(t), -1.0)), "<=", 0.0)
 
     for t in range(s):
         terms: list[tuple[str, float]] = [(var_v(t), 1.0)]
         for i in range(n):
             for j in range(i + 1, n):
                 terms.append((var_w(i, j, t), -float(d[i, j])))
-        rows.append(LpRow(f"variety_{t}", tuple(terms), "=", 0.0))
+        yield LpRow(f"variety_{t}", tuple(terms), "=", 0.0)
 
-    generals = tuple(var_x(i, t) for i in range(n) for t in range(s))
-    binaries = tuple(var_y(i, t) for i in range(n) for t in range(s))
+
+def _objective(s: int) -> tuple[tuple[str, float], ...]:
+    return tuple((var_v(t), 1.0) for t in range(s))
+
+
+def _generals(n: int, s: int) -> tuple[str, ...]:
+    return tuple(var_x(i, t) for i in range(n) for t in range(s))
+
+
+def _binaries(n: int, s: int) -> tuple[str, ...]:
+    return tuple(var_y(i, t) for i in range(n) for t in range(s))
+
+
+def build_milp(instance: DistributionInstance) -> MilpModel:
+    """Assemble the whole allocation MILP in memory, rows in ``_rows`` order."""
+    ensure_valid(instance)
+    n, s = instance.n_articles, instance.n_stores
     continuous = (
         tuple(var_r(t) for t in range(s))
         + tuple(var_u(i, t) for i in range(n) for t in range(s))
@@ -242,8 +221,9 @@ def build_milp(instance: DistributionInstance) -> MilpModel:
         )
         + tuple(var_v(t) for t in range(s))
     )
-    objective = tuple((var_v(t), 1.0) for t in range(s))
-    return MilpModel(objective, tuple(rows), generals, binaries, continuous)
+    return MilpModel(
+        _objective(s), tuple(_rows(instance)), _generals(n, s), _binaries(n, s), continuous
+    )
 
 
 def _fmt(value: float) -> str:
@@ -270,29 +250,25 @@ def _render_terms(terms: tuple[tuple[str, float], ...]) -> list[str]:
     return lines or ["0"]
 
 
-def export_lp(instance: DistributionInstance) -> str:
-    """Serialize the full MILP in LP text format (deterministic bytes)."""
-    model = build_milp(instance)
-    out: list[str] = ["Maximize"]
-    obj_lines = _render_terms(model.objective)
-    out.append(" obj: " + obj_lines[0])
-    for line in obj_lines[1:]:
-        out.append("      " + line)
-    out.append("Subject To")
-    for row in model.rows:
-        lines = _render_terms(row.terms)
-        out.append(f" {row.name}: {lines[0]}")
-        for line in lines[1:]:
-            out.append("    " + line)
-        out[-1] = out[-1] + f" {row.sense} {_fmt(row.rhs)}"
-    out.append("Generals")
-    for start in range(0, len(model.generals), 8):
-        out.append(" " + " ".join(model.generals[start : start + 8]))
-    out.append("Binaries")
-    for start in range(0, len(model.binaries), 8):
-        out.append(" " + " ".join(model.binaries[start : start + 8]))
-    out.append("End")
-    return "\n".join(out) + "\n"
+def export_lp(instance: DistributionInstance, out: TextIO) -> None:
+    """Write the full MILP to ``out`` in LP text format (deterministic bytes).
+
+    Each row is rendered and written as ``_rows`` yields it, so neither
+    the model nor its text is ever held whole. The instance is validated
+    before the first write.
+    """
+    ensure_valid(instance)
+    n, s = instance.n_articles, instance.n_stores
+    out.write("Maximize\n obj: " + "\n      ".join(_render_terms(_objective(s))) + "\n")
+    out.write("Subject To\n")
+    for row in _rows(instance):
+        body = "\n    ".join(_render_terms(row.terms))
+        out.write(f" {row.name}: {body} {row.sense} {_fmt(row.rhs)}\n")
+    for header, names in (("Generals", _generals(n, s)), ("Binaries", _binaries(n, s))):
+        out.write(header + "\n")
+        for start in range(0, len(names), 8):
+            out.write(" " + " ".join(names[start : start + 8]) + "\n")
+    out.write("End\n")
 
 
 def linearization_witness(instance: DistributionInstance, plan: DistributionPlan) -> dict[str, float]:

@@ -66,6 +66,18 @@ def _infeasible_instance():
     )
 
 
+def _write_invalid_alpha(path):
+    """An instance that parses but fails validation: alpha is 1.5."""
+    payload = {
+        "alpha": 1.5,
+        "articles": [{"id": "a0", "planned_total": 4, "min_qty": 1}],
+        "stores": [{"id": "s0", "desired_qty": 4}],
+        "distances": {"n": 1, "entries": [[0.0]]},
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def demo_path(tmp_path):
     return _write_instance(tmp_path / "demo.json", demo_instance())
@@ -138,6 +150,13 @@ class TestDistances:
         bad.write_text("a0,1.0,2.0\na1,3.0\n", encoding="utf-8")
         assert main(["distances", "--catalog", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_integer_entry_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        records = [{"id": "a0", "vector": [10**400, 0]}, {"id": "a1", "vector": [0, 1]}]
+        bad.write_text(json.dumps(records), encoding="utf-8")
+        assert main(["distances", "--catalog", str(bad)]) == 2
+        assert "error: style 'a0' has a non-finite vector entry" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -214,18 +233,7 @@ class TestSolve:
         assert len(payload["per_store_variety"]) == 6
 
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "alpha": 1.5,
-                    "articles": [{"id": "a0", "planned_total": 4, "min_qty": 1}],
-                    "stores": [{"id": "s0", "desired_qty": 4}],
-                    "distances": {"n": 1, "entries": [[0.0]]},
-                }
-            ),
-            encoding="utf-8",
-        )
+        bad = _write_invalid_alpha(tmp_path / "bad.json")
         assert main(["solve", "--instance", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -327,6 +335,14 @@ class TestExportLp:
         assert main(["export-lp", "--instance", str(line_path), "--output", str(out)]) == 0
         assert out.read_text(encoding="utf-8").endswith("End\n")
         assert f"wrote {out}" in capsys.readouterr().out
+
+    def test_invalid_instance_leaves_output_untouched(self, tmp_path, capsys):
+        bad = _write_invalid_alpha(tmp_path / "bad.json")
+        out = tmp_path / "model.lp"
+        out.write_bytes(b"previous model\n")
+        assert main(["export-lp", "--instance", str(bad), "--output", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous model\n"
 
 
 class TestExperiment:
@@ -481,6 +497,12 @@ class TestSubprocess:
     def test_missing_subcommand_exits_2(self):
         result = _run_cli([])
         assert result.returncode == 2
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # Only the linearity study needs scipy.stats, and it is slow to import.
+        code = "import stylemix.cli, sys; assert 'scipy.stats' not in sys.modules"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+        assert result.returncode == 0, result.stderr.decode()
 
     def test_solve_bytes_identical_across_runs(self, demo_path, tmp_path):
         outs = []

@@ -1,5 +1,9 @@
 """MILP construction, witness exactness, and LP text rendering."""
 
+import hashlib
+import io
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +11,17 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
-from stylemix.core import Article, DistanceMatrix, DistributionInstance, DistributionPlan, Store
+from stylemix.core import (
+    Article,
+    DistanceMatrix,
+    DistributionInstance,
+    DistributionPlan,
+    Metric,
+    Store,
+    distance_matrix,
+)
+from stylemix.errors import ValidationError
+from stylemix.experiments import demo_instance, synthetic_population
 from stylemix.lp import (
     build_milp,
     check_assignment,
@@ -127,9 +141,38 @@ class TestWitness:
         assert any(name.startswith(("u_", "w_")) for name in violated)
 
 
+def export_text(instance: DistributionInstance) -> str:
+    out = io.StringIO()
+    assert export_lp(instance, out) is None
+    return out.getvalue()
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def recipe_instance(n: int, s: int, seed: int) -> DistributionInstance:
+    """n styles of 40 units (minimum 4) for s stores wanting 12-39 units."""
+    catalog = synthetic_population(n, 16, seed)
+    quantities = np.random.default_rng(seed).integers(12, 40, s)
+    return DistributionInstance(
+        articles=tuple(Article(sid, 40, 4) for sid in catalog.ids),
+        stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(quantities)),
+        alpha=Fraction("0.2"),
+        distances=distance_matrix(catalog, Metric.SQUARED_EUCLIDEAN),
+    )
+
+
 class TestExport:
     def test_sections_in_order(self):
-        text = export_lp(tiny_instance())
+        text = export_text(tiny_instance())
         positions = [
             text.index("Maximize"),
             text.index("Subject To"),
@@ -143,23 +186,23 @@ class TestExport:
     def test_every_row_name_rendered(self):
         instance = tiny_instance()
         model = build_milp(instance)
-        text = export_lp(instance)
+        text = export_text(instance)
         for row in model.rows:
             assert f" {row.name}: " in text
 
     def test_integral_rhs_rendered_without_decimal_point(self):
-        text = export_lp(tiny_instance())
+        text = export_text(tiny_instance())
         assert "<= 36" in text
         assert ">= 24" in text
         assert "36.0" not in text
 
     def test_deterministic_bytes(self):
         instance, _ = random_feasible_instance(9)
-        assert export_lp(instance) == export_lp(instance)
+        assert export_text(instance) == export_text(instance)
 
     def test_long_rows_wrap(self):
         instance, _ = random_feasible_instance(1, n_range=(8, 8), s_range=(3, 3))
-        text = export_lp(instance)
+        text = export_text(instance)
         lines = text.splitlines()
         # variety_0 carries 1 + 28 terms, so it spans several lines with
         # the sense and right-hand side on the last one.
@@ -171,6 +214,34 @@ class TestExport:
         assert end > start
         for line in lines[start + 1 : end + 1]:
             assert line.startswith("    ")
+
+    def test_demo_bytes_are_pinned(self):
+        text = export_text(demo_instance())
+        assert len(text) == 39_889
+        assert len(build_milp(demo_instance()).rows) == 950
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "a652ef954ea3453dddd4f7501640447b41cf49e3bf6b76a5154c4a03a86d5924"
+
+    def test_export_streams_rows(self):
+        # Holding the rows or the text would take several times the output
+        # length; streaming holds one row at a time.
+        instance = recipe_instance(30, 15, 0)
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            export_lp(instance, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 1_000_000
+        assert peak < sink.chars / 2
+
+    def test_invalid_instance_writes_nothing(self):
+        instance = replace(tiny_instance(), alpha=Fraction(3, 2))
+        sink = _CountingSink()
+        with pytest.raises(ValidationError):
+            export_lp(instance, sink)
+        assert sink.chars == 0
 
 
 def highs_optimum(instance: DistributionInstance) -> float:
