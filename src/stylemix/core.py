@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -240,10 +241,6 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
     for sid, raw_vector in rows:
         values: list[float] = []
         for cell in raw_vector:
-            if isinstance(cell, bool):
-                raise MalformedInputError(
-                    f"row {sid!r}: boolean is not a vector entry"
-                )
             # Text, not float(cell): an int beyond float range parses to
             # inf, which FeatureCatalog rejects, instead of overflowing.
             try:
@@ -495,8 +492,10 @@ def validate_instance(instance: DistributionInstance) -> list[Violation]:
     violations: list[Violation] = []
     alpha = instance.alpha
     if not (0 <= alpha < 1):
+        huge = abs(alpha) > sys.float_info.max  # float(alpha) would overflow
+        shown = (math.inf if alpha > 0 else -math.inf) if huge else float(alpha)
         violations.append(
-            Violation("alpha_out_of_range", "alpha", f"alpha={float(alpha)} must lie in [0, 1)")
+            Violation("alpha_out_of_range", "alpha", f"alpha={shown} must lie in [0, 1)")
         )
     seen_articles: set[str] = set()
     for art in instance.articles:
@@ -616,11 +615,11 @@ class DistributionPlan:
         }
 
 
-def _parse_distances_block(block, n_articles: int, base_dir: Path | None) -> DistanceMatrix:
+def _parse_distances_block(block, articles: tuple, base_dir: Path | None) -> DistanceMatrix:
     if not isinstance(block, dict):
         raise MalformedInputError("'distances' must be an object")
     if "entries" in block:
-        n = _as_int(block.get("n", n_articles), field_name="distances.n")
+        n = _as_int(block.get("n", len(articles)), field_name="distances.n")
         raw = block["entries"]
         if not isinstance(raw, list):
             raise MalformedInputError("'distances.entries' must be an array")
@@ -642,8 +641,16 @@ def _parse_distances_block(block, n_articles: int, base_dir: Path | None) -> Dis
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
         metric = Metric.from_name(block.get("metric", Metric.SQUARED_EUCLIDEAN.value))
-        normalize = bool(block.get("normalize", False))
+        normalize = block.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise MalformedInputError(f"'distances.normalize' must be a boolean, not {normalize!r}")
         catalog = read_catalog_file(path)
+        # Rows pair with articles by position; validate_instance checks the count.
+        for style, article in zip(catalog.ids, articles):
+            if style != article.id:
+                raise MalformedInputError(
+                    f"'distances.catalog_ref' style {style!r} is not article {article.id!r}"
+                )
         return distance_matrix(catalog, metric, normalize=normalize)
     raise MalformedInputError(
         "'distances' needs either 'entries' (row-major) or 'catalog_ref'"
@@ -693,7 +700,7 @@ def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> Distr
     articles = _records(payload, "articles", "article", Article, ("planned_total", "min_qty"))
     stores = _records(payload, "stores", "store", Store, ("desired_qty",))
     base = Path(base_dir) if base_dir is not None else None
-    distances = _parse_distances_block(payload["distances"], len(articles), base)
+    distances = _parse_distances_block(payload["distances"], articles, base)
     return DistributionInstance(
         articles=articles,
         stores=stores,

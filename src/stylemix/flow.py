@@ -38,9 +38,9 @@ class CirculationResult:
     """Outcome of a circulation check.
 
     When feasible, ``flows[k]`` is the integer flow on ``edges[k]``.
-    When infeasible, ``reached`` holds the original nodes reachable from
-    the super source in the final residual graph; either that set or its
-    complement is a certificate cut (see ``cut_violation``).
+    When infeasible, ``reached``, the original nodes reachable from the
+    super source in the final residual graph, is the source side of a
+    minimum cut and so the certificate cut (see ``cut_violation``).
     """
 
     feasible: bool

@@ -233,15 +233,13 @@ class SolveReport:
     """Solver outcome plus bookkeeping.
 
     iterations counts flow-checked patterns (exact) or accepted moves
-    (heuristic). trace, when present, lists (iteration, objective) at
-    each incumbent improvement and is strictly increasing in objective.
+    (heuristic).
     """
 
     plan: DistributionPlan | None
     status: SolveStatus
     iterations: int
     wall_time: float
-    trace: tuple[tuple[int, float], ...] | None = None
 
     @property
     def objective(self) -> float | None:
@@ -296,49 +294,46 @@ def _certificate_from_cut(
     instance: DistributionInstance,
     edges: list[Edge],
     reached: frozenset[int],
-    n_nodes: int,
 ) -> CutCertificate:
     n = instance.n_articles
-    all_nodes = frozenset(range(n_nodes))
-    for candidate in (reached, all_nodes - reached):
-        required, available = cut_violation(edges, candidate)
-        if required > available:
-            demand_driven = 1 in candidate
-            if demand_driven:
-                # Store lower bands cross into the cut exactly for the
-                # stores outside it, and supply leaves over the planned
-                # totals of the articles outside it.
-                stores = tuple(
-                    t for t in range(instance.n_stores) if (2 + n + t) not in candidate
-                )
-                articles = tuple(
-                    i for i in range(n) if (2 + i) not in candidate
-                )
-            else:
-                # Forced minimum shipments flow into the stores inside
-                # the cut from the assigned articles left outside it.
-                stores = tuple(
-                    t for t in range(instance.n_stores) if (2 + n + t) in candidate
-                )
-                articles = tuple(
-                    sorted(
-                        {
-                            edge.tail - 2
-                            for edge in edges
-                            if 2 <= edge.tail < 2 + n
-                            and edge.tail not in candidate
-                            and edge.head in candidate
-                        }
-                    )
-                )
-            return CutCertificate(
-                articles=articles,
-                stores=stores,
-                demand_driven=demand_driven,
-                required=required,
-                available=int(available),
+    required, available = cut_violation(edges, reached)
+    if required <= available:
+        raise AssertionError("infeasible circulation produced no violated cut")
+    demand_driven = 1 in reached
+    if demand_driven:
+        # Store lower bands cross into the cut exactly for the
+        # stores outside it, and supply leaves over the planned
+        # totals of the articles outside it.
+        stores = tuple(
+            t for t in range(instance.n_stores) if (2 + n + t) not in reached
+        )
+        articles = tuple(
+            i for i in range(n) if (2 + i) not in reached
+        )
+    else:
+        # Forced minimum shipments flow into the stores inside
+        # the cut from the assigned articles left outside it.
+        stores = tuple(
+            t for t in range(instance.n_stores) if (2 + n + t) in reached
+        )
+        articles = tuple(
+            sorted(
+                {
+                    edge.tail - 2
+                    for edge in edges
+                    if 2 <= edge.tail < 2 + n
+                    and edge.tail not in reached
+                    and edge.head in reached
+                }
             )
-    raise AssertionError("infeasible circulation produced no violated cut")
+        )
+    return CutCertificate(
+        articles=articles,
+        stores=stores,
+        demand_driven=demand_driven,
+        required=required,
+        available=int(available),
+    )
 
 
 def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern) -> QuantityResult:
@@ -367,7 +362,7 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
         for (i, t), pos in assign_pos.items():
             x[i, t] = result.flows[pos]
         return QuantityResult(True, x=x)
-    certificate = _certificate_from_cut(instance, edges, result.reached, n_nodes)
+    certificate = _certificate_from_cut(instance, edges, result.reached)
     return QuantityResult(False, certificate=certificate)
 
 
@@ -489,7 +484,7 @@ def _usable_articles(instance: DistributionInstance, t: int) -> list[int]:
     return [
         i
         for i, article in enumerate(instance.articles)
-        if article.min_qty <= cap_t and article.min_qty <= article.planned_total
+        if article.min_qty <= cap_t
     ]
 
 
@@ -588,7 +583,6 @@ def solve_exact(
     best_key: bytes | None = None
     best_x: np.ndarray | None = None
     checked = 0
-    trace: list[tuple[int, float]] = []
     chosen: list[tuple[int, ...]] = []
     out_of_budget = False
     last_certificate = None
@@ -615,8 +609,6 @@ def solve_exact(
                 or partial > best_value + _TIE_TOLERANCE
                 or (partial >= best_value - _TIE_TOLERANCE and key < best_key)
             ):
-                if partial > best_value:
-                    trace.append((checked, partial))
                 best_value = max(best_value, partial)
                 best_key = key
                 best_x = result.x
@@ -642,7 +634,7 @@ def solve_exact(
     if best_x is not None:
         plan = plan_from_quantities(instance, best_x)
         status = SolveStatus.FEASIBLE_HEURISTIC if out_of_budget else SolveStatus.OPTIMAL
-        return SolveReport(plan, status, checked, elapsed, tuple(trace))
+        return SolveReport(plan, status, checked, elapsed)
     if out_of_budget:
         raise BudgetExceededError(
             f"no feasible plan within budget ({checked} patterns checked)"
@@ -677,9 +669,6 @@ class _SearchState:
     def store_value(self, t: int) -> float:
         k = len(self.sets[t])
         return self.pair_sums[t] / k if k >= 2 else 0.0
-
-    def objective(self) -> float:
-        return sum(self.store_value(t) for t in range(self.s))
 
     def links(self, t: int, i: int, skip: int | None = None) -> float:
         """Sum of d[i, j] over the members j of store t other than i and skip."""
@@ -815,13 +804,11 @@ def _local_search(
 ) -> SolveReport:
     """Keep the first improving move that passes the flow check; repeat."""
     instance = state.instance
-    value = state.objective()
     iterations = 0
-    trace: list[tuple[int, float]] = [(0, value)]
     best_x = x0
     while iterations < config.max_iters:
         moves = itertools.chain(_scan_swap(state), _scan_move(state), _scan_toggle(state))
-        for delta, drops, adds in moves:
+        for _, drops, adds in moves:
             state.apply(drops, adds)
             result = quantity_feasible(instance, state.pattern())
             if result.feasible:
@@ -829,16 +816,13 @@ def _local_search(
             state.apply(adds, drops)
         else:
             break
-        value += delta
         iterations += 1
-        trace.append((iterations, value))
         best_x = result.x
     return SolveReport(
         plan_from_quantities(instance, best_x),
         SolveStatus.FEASIBLE_HEURISTIC,
         iterations,
         time.perf_counter() - started,
-        tuple(trace),
     )
 
 

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from stylemix import cli
 from stylemix.cli import build_parser, main
 from stylemix.core import (
     Article,
@@ -26,6 +27,7 @@ from stylemix.core import (
     Store,
     instance_to_json,
 )
+from stylemix.errors import VerificationError
 from stylemix.experiments import demo_instance
 from stylemix.solver import EXACT_SIZE_LIMIT
 
@@ -172,19 +174,10 @@ class TestSolve:
         assert payload["objective"] == pytest.approx(5.0)
         assert payload["wall_time_s"] is None
 
-    def test_auto_threshold_flag_forces_heuristic(self, line_path, capsys):
-        code = main(
-            [
-                "solve",
-                "--instance",
-                str(line_path),
-                "--auto-threshold",
-                "0",
-                "--seed",
-                "3",
-            ]
-        )
-        assert code == 0
+    def test_auto_sends_demo_to_heuristic(self, demo_path, capsys):
+        # The 8x6 demo has 48 cells, more than auto mode solves exactly.
+        assert 8 * 6 > EXACT_SIZE_LIMIT
+        assert main(["solve", "--instance", str(demo_path), "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "feasible_heuristic"
 
@@ -322,6 +315,31 @@ class TestSolve:
         assert main(["solve", "--instance", str(bad)]) == 2
         assert "metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", "no", 1])
+    def test_non_boolean_normalize_exits_2(self, catalog_path, capsys, value):
+        distances = {"catalog_ref": catalog_path.name, "normalize": value}
+        bad = catalog_path.parent / "bad.json"
+        bad.write_text(
+            json.dumps(_line_payload_with(("distances",), distances)), encoding="utf-8"
+        )
+        assert main(["solve", "--instance", str(bad)]) == 2
+        assert "distances.normalize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ids, style, article",
+        [(("a1", "a0", "a2", "a3"), "a0", "a1"), (("a0", "a1", "x", "y"), "a2", "x")],
+        ids=["reordered", "foreign"],
+    )
+    def test_catalog_ids_must_match_article_ids(self, catalog_path, capsys, ids, style, article):
+        # Catalog rows pair with articles by position.
+        payload = _line_payload_with(("distances",), {"catalog_ref": catalog_path.name})
+        for record, article_id in zip(payload["articles"], ids):
+            record["id"] = article_id
+        bad = catalog_path.parent / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["solve", "--instance", str(bad)]) == 2
+        assert f"style {style!r} is not article {article!r}" in capsys.readouterr().err
+
 
 class TestExportLp:
     def test_stdout_sections(self, line_path, capsys):
@@ -343,6 +361,21 @@ class TestExportLp:
         assert main(["export-lp", "--instance", str(bad), "--output", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert out.read_bytes() == b"previous model\n"
+
+
+@pytest.mark.parametrize(
+    "alpha", [10**400, -(10**400), "1e400"], ids=["int", "negative-int", "text"]
+)
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["export-lp"], ["experiment", "--kind", "baseline"]],
+    ids=["solve", "export-lp", "baseline"],
+)
+def test_alpha_beyond_float_range_exits_2(tmp_path, capsys, alpha, argv):
+    # A JSON number arrives as text, so "1e400" takes the path of 1e400.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_line_payload_with(("alpha",), alpha)), encoding="utf-8")
+    assert main([*argv, "--instance", str(bad)]) == 2
+    assert "[alpha_out_of_range] alpha: alpha=" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -448,6 +481,23 @@ class TestExperiment:
         payload = json.loads(capsys.readouterr().out)
         assert payload["optimized_objective"] > payload["baseline_objective"]
         assert payload["improvement_pct"] > 0
+
+    def test_baseline_infeasible_instance_exits_3(self, infeasible_path, capsys):
+        code = main(["experiment", "--kind", "baseline", "--instance", str(infeasible_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible: ")
+
+    def test_counterexample_deviation_exits_1(self, monkeypatch, capsys):
+        def deviate():
+            raise VerificationError("max_mean on triangle_incenter: expected held")
+
+        monkeypatch.setattr(cli, "verify_counterexamples", deviate)
+        assert main(["experiment", "--kind", "counterexamples"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verdict deviation: max_mean on triangle_incenter: expected held\n"
 
     def test_baseline_explicit_instance(self, line_path, capsys):
         code = main(
@@ -592,6 +642,10 @@ _JSON_VALUES = st.recursive(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(path=st.sampled_from(_LINE_FIELDS), value=_JSON_VALUES)
+# st.integers() never reaches beyond the float range.
+@example(path=("alpha",), value=10**400)
+@example(path=("alpha",), value=-(10**400))
+@example(path=("alpha",), value="1e400")
 def test_fuzzed_instance_field_exits_with_documented_code(tmp_path, path, value):
     instance = tmp_path / "fuzz.json"
     instance.write_text(json.dumps(_line_payload_with(path, value)), encoding="utf-8")
@@ -642,7 +696,6 @@ def test_parser_exposes_documented_defaults():
     parser = build_parser()
     args = parser.parse_args(["solve", "--instance", "x.json"])
     assert args.mode == "auto"
-    assert args.auto_threshold == EXACT_SIZE_LIMIT
     args = parser.parse_args(["experiment", "--kind", "linearity"])
     assert args.dim == 16
     assert args.reps == 1000

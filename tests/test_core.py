@@ -273,6 +273,13 @@ class TestValidation:
         codes = [v.code for v in validate_instance(bad)]
         assert "min_exceeds_planned" in codes
 
+    def test_negative_planned_total(self):
+        bad = self.base_instance(
+            articles=(Article("a0", -1, 2), Article("a1", 10, 2))
+        )
+        codes = [v.code for v in validate_instance(bad)]
+        assert "negative_planned_total" in codes
+
     def test_min_below_one(self):
         bad = self.base_instance(
             articles=(Article("a0", 10, 0), Article("a1", 10, 2))
@@ -333,7 +340,8 @@ class TestInstanceIO:
         assert inst.distances.entries[0, 1] == 3.0
 
     def test_catalog_ref_distances(self, tmp_path):
-        cat = small_catalog()
+        # Catalog rows pair with articles by position, so the ids match.
+        cat = FeatureCatalog(("a0", "a1"), small_catalog().vectors)
         (tmp_path / "cat.csv").write_text(cat.to_csv())
         doc = self.demo_doc()
         doc["distances"] = {

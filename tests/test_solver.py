@@ -13,6 +13,7 @@ from stylemix.core import (
     BigMPolicy,
     DistanceMatrix,
     DistributionInstance,
+    DistributionPlan,
     Store,
     distance_matrix,
 )
@@ -178,16 +179,8 @@ class TestQuantityFeasible:
             edges, _, n_nodes = _build_edges(instance, pattern.y)
             flow_result = feasible_circulation(n_nodes, edges)
             assert not flow_result.feasible
-            matched = False
-            for cut in (
-                flow_result.reached,
-                frozenset(range(n_nodes)) - flow_result.reached,
-            ):
-                required, available = cut_violation(edges, cut)
-                if required == cert.required and available == cert.available:
-                    assert required > available
-                    matched = True
-            assert matched
+            required, available = cut_violation(edges, flow_result.reached)
+            assert (required, available) == (cert.required, cert.available)
             checked += 1
         assert checked >= 10
 
@@ -330,6 +323,15 @@ class TestSolveExact:
                 candidates.append(tuple(int(v) for v in pattern.y.reshape(-1)))
         assert tuple(int(v) for v in y.reshape(-1)) == min(candidates)
 
+    def test_store_without_admissible_subset_raises(self):
+        # Any two minimums of 3 overfill s0's band of exactly 4 units.
+        inst = two_article_instance(
+            articles=(Article("a0", 16, 3), Article("a1", 16, 3)),
+            stores=(Store("s0", 4), Store("s1", 8)),
+        )
+        with pytest.raises(InfeasibleError, match="store 's0' has no admissible style subset"):
+            solve_exact(inst)
+
     def test_infeasible_instance_raises_with_certificate(self):
         inst = DistributionInstance(
             articles=(Article("a0", 6, 1), Article("a1", 6, 1)),
@@ -447,15 +449,7 @@ class TestSolveHeuristic:
         b = solve_heuristic(instance, HeuristicConfig(seed=3))
         assert a.objective == b.objective
         assert np.array_equal(a.plan.x, b.plan.x)
-        assert a.trace == b.trace
-
-    def test_trace_strictly_increases(self):
-        for seed in range(12):
-            instance, _ = random_feasible_instance(seed + 77)
-            report = solve_heuristic(instance, HeuristicConfig(seed=seed))
-            values = [value for _, value in report.trace]
-            assert all(b > a for a, b in zip(values, values[1:]))
-            assert values[-1] == pytest.approx(report.objective, abs=1e-9)
+        assert a.iterations == b.iterations
 
     def test_infeasible_instance_raises(self):
         inst = DistributionInstance(
@@ -566,6 +560,23 @@ class TestPlanChecks:
         )
         codes = [v.code for v in plan_violations(inst, doctored)]
         assert "variety_mismatch" in codes
+
+    @pytest.mark.parametrize(
+        "articles, x, code",
+        [
+            (None, [[1, 1], [1, 1], [1, 1]], "shape_mismatch"),
+            (None, [[5, 4], [0, 1]], "too_few_styles"),
+            ((Article("a0", 16, 3), Article("a1", 16, 3)), [[1, 4], [4, 1]], "below_min_qty"),
+            ((Article("a0", 4, 1), Article("a1", 16, 1)), [[3, 3], [2, 2]], "planned_total_exceeded"),
+        ],
+        ids=["shape", "styles", "min_qty", "planned_total"],
+    )
+    def test_breach_is_reported_by_its_code(self, articles, x, code):
+        inst = two_article_instance(**({} if articles is None else {"articles": articles}))
+        x = np.array(x)
+        plan = DistributionPlan(x, (0.0,) * x.shape[1])
+        codes = {v.code for v in plan_violations(inst, plan)}
+        assert codes - {"variety_mismatch"} == {code}
 
     def test_band_violation_detected(self):
         inst = two_article_instance()
