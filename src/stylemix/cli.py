@@ -39,6 +39,7 @@ from .errors import (
     InfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
+    PopulationTooSmallError,
     StylemixError,
     VerificationError,
 )
@@ -206,13 +207,18 @@ def _emit(text: str, output: Path | None) -> None:
         stream.write(text)
 
 
-def _parse_sizes(spec: str) -> tuple[int, ...]:
+def _parse_sizes(spec: str, population: int) -> tuple[int, ...]:
     spec = spec.strip()
     if ".." in spec:
         lo_text, hi_text = spec.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise MalformedInputError(f"empty size range {spec!r}")
+        # Checked before the range is listed, which may not fit in memory.
+        if hi > population:
+            raise PopulationTooSmallError(
+                f"population has {population} styles but a subset of {hi} was requested"
+            )
         return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in spec.split(","))
 
@@ -264,10 +270,7 @@ def cmd_solve(args) -> int:
         report = SolveReport(None, SolveStatus.INFEASIBLE, 0, 0.0)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
     if infeasible is not None:
-        print(f"infeasible: {infeasible}", file=sys.stderr)
-        if infeasible.certificate is not None:
-            print(f"certificate: {infeasible.certificate}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise infeasible
     if args.output is not None:
         print(_solve_summary(report))
     return EXIT_OK
@@ -290,7 +293,7 @@ def _experiment_linearity(args, seed: int) -> int:
         population = synthetic_population(args.population_size, args.dim, seed)
     config = LinearityConfig(
         population=population,
-        subset_sizes=_parse_sizes(args.sizes),
+        subset_sizes=_parse_sizes(args.sizes, population.n),
         repetitions=args.reps,
         seed=seed,
         metric=Metric.from_name(args.metric),
@@ -368,6 +371,8 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (InfeasibleError, InfeasiblePlanError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        if getattr(exc, "certificate", None) is not None:
+            print(f"certificate: {exc.certificate}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

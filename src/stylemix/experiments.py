@@ -428,7 +428,7 @@ def baseline_allocate(instance: DistributionInstance) -> DistributionPlan:
     result = _repair(state, take_next)
     if result.feasible:
         return plan_from_quantities(instance, result.x)
-    raise InfeasibleError("baseline allocator found no feasible quantities")
+    raise InfeasibleError("baseline allocator found no feasible quantities", result.certificate)
 
 
 @dataclass(frozen=True)

@@ -1,148 +1,176 @@
-"""Feasible circulation with edge lower bounds.
+"""Quantity feasibility of an assignment pattern as a circulation.
 
-Used by the solver to decide whether a fixed assignment pattern admits
-integer shipment quantities. The standard transformation applies: each
-edge (u, v) with bounds [low, cap] becomes capacity cap - low, node
-imbalances from the lower bounds are routed through a super source and
-sink, and the circulation is feasible iff the max flow saturates every
-super-source edge. Capacities are integers throughout, so the resulting
-flow is integral.
+Decides whether a fixed assignment pattern admits integer shipment
+quantities. The network has a source (node 0), a sink (node 1), one
+node per article (2 + i) and one per store (2 + n + t). Its edges, with
+flow bounds [low, cap], are source -> article [0, planned_total],
+article -> store [min_qty, big_m] per assigned pair, store -> sink
+[lower_band, upper_band] and an uncapped return edge sink -> source.
+Each edge becomes capacity cap - low, node imbalances from the lower
+bounds are routed through a super source and sink, and the pattern is
+feasible iff the max flow saturates every super-source edge. Integer
+capacities give an integral flow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-__all__ = ["Edge", "CirculationResult", "feasible_circulation", "cut_violation"]
+from .core import DistributionInstance
+
+__all__ = ["CutCertificate", "EdgeCertificate", "QuantityResult", "feasible_circulation"]
 
 # scipy's maximum_flow stores capacities as 32-bit integers.
 _MAX_CAPACITY = 2**31 - 1
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Directed edge with integer flow bounds; cap=None means unbounded."""
+class CutCertificate:
+    """Cut witness that no feasible quantities exist.
 
-    tail: int
-    head: int
-    lower: int
-    cap: int | None
+    ``required`` units must cross into the cut (lower bounds) but only
+    ``available`` can, so required > available proves infeasibility.
+    When ``demand_driven``, the listed stores' lower quantity bands
+    outstrip the supply reachable from the listed articles; otherwise
+    the forced minimum shipments into the listed stores exceed what
+    those stores can absorb or reroute.
+    """
+
+    articles: tuple[int, ...]
+    stores: tuple[int, ...]
+    demand_driven: bool
+    required: int
+    available: int
+
+    def __str__(self) -> str:
+        where = f"stores {list(self.stores)}" if self.stores else "the stores overall"
+        if self.demand_driven:
+            return (
+                f"{where} demand at least {self.required} units, but at most "
+                f"{self.available} can reach them (supply articles {list(self.articles)})"
+            )
+        return (
+            f"minimum shipments into {where} total {self.required} units, "
+            f"but at most {self.available} can be absorbed"
+        )
 
 
 @dataclass(frozen=True)
-class CirculationResult:
-    """Outcome of a circulation check.
+class EdgeCertificate:
+    """A single (article, store) pair whose minimum exceeds its cap."""
 
-    When feasible, ``flows[k]`` is the integer flow on ``edges[k]``.
-    When infeasible, ``reached``, the original nodes reachable from the
-    super source in the final residual graph, is the source side of a
-    minimum cut and so the certificate cut (see ``cut_violation``).
-    """
+    article: int
+    store: int
+    min_qty: int
+    cap: int
+
+    def __str__(self) -> str:
+        return (
+            f"article {self.article} at store {self.store} requires at least "
+            f"{self.min_qty} units but is capped at {self.cap}"
+        )
+
+
+@dataclass(frozen=True)
+class QuantityResult:
+    """Outcome of a quantity-feasibility check for one pattern."""
 
     feasible: bool
-    flows: np.ndarray | None
-    reached: frozenset[int] | None
+    x: np.ndarray | None = None
+    certificate: CutCertificate | EdgeCertificate | None = None
 
 
-def feasible_circulation(n_nodes: int, edges: list[Edge]) -> CirculationResult:
-    """Find an integer circulation satisfying all edge bounds.
+def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> QuantityResult:
+    """Find integer quantities for the pattern ``y`` or a certificate cut.
 
-    Args:
-        n_nodes: Number of graph nodes, labeled 0..n_nodes-1.
-        edges: Directed edges; at most one edge per (tail, head) pair.
-
-    Returns:
-        CirculationResult with per-edge flows or the residual-reachable
-        node set for certificate extraction.
+    Every assigned pair's min_qty must be within its store's big_m. On
+    failure the certificate is read off the original nodes reachable
+    from the super source in the final residual graph: the source side
+    of a minimum cut, which always certifies.
 
     Raises:
-        ValueError: Parallel edges, invalid bounds, or a capacity or node
-            imbalance still above 2**31 - 1 after capping.
+        ValueError: A negative planned total or assigned min_qty, an
+            invalid store band, or capacities above 2**31 - 1 after capping.
     """
-    seen_pairs = set()
-    for e in edges:
-        pair = (e.tail, e.head)
-        if pair in seen_pairs:
-            raise ValueError(f"parallel edge {pair} not supported")
-        seen_pairs.add(pair)
-        if e.lower < 0 or (e.cap is not None and e.cap < e.lower):
-            raise ValueError(
-                f"edge {pair} has invalid bounds [{e.lower}, {e.cap}]"
-            )
+    n, s = y.shape
+    planned = [article.planned_total for article in instance.articles]
+    min_qty = [article.min_qty for article in instance.articles]
+    cap = [instance.big_m(t) for t in range(s)]
+    lower = [instance.lower_band(t) for t in range(s)]
+    upper = [instance.upper_band(t) for t in range(s)]
+    for i, article in enumerate(instance.articles):
+        if planned[i] < 0 or (min_qty[i] < 0 and y[i].any()):
+            raise ValueError(f"article {article.id!r} has a negative planned_total or min_qty")
+    for t, store in enumerate(instance.stores):
+        if not 0 <= lower[t] <= upper[t]:
+            raise ValueError(f"store {store.id!r} has an invalid band [{lower[t]}, {upper[t]}]")
 
+    n_nodes = 2 + n + s
+    art = lambda i: 2 + i
+    sto = lambda t: 2 + n + t
+    pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]
+    # (tail, head, lower, cap) per edge, the uncapped return edge last.
+    edges = (
+        [(0, art(i), 0, planned[i]) for i in range(n)]
+        + [(art(i), sto(t), min_qty[i], cap[t]) for i, t in pairs]
+        + [(sto(t), 1, lower[t], upper[t]) for t in range(s)]
+        + [(1, 0, 0, math.inf)]
+    )
+    into, out_of, balance = [0] * n_nodes, [0] * n_nodes, [0] * n_nodes
+    for u, v, low, c in edges:
+        into[v] += c
+        out_of[u] += c
+        balance[v] += low
+        balance[u] -= low
     # No edge carries more than can enter its tail or leave its head. A
     # cap one above the smaller of the two is never reached, so verdicts
-    # and certificate cuts stay the same while capacities stay small. An
-    # uncapped edge counts as `big`, more than all finite caps together.
-    big = 1 + sum(e.lower for e in edges) + sum(
-        e.cap for e in edges if e.cap is not None
-    )
-    caps = [big if e.cap is None else e.cap for e in edges]
-    into, out_of, balance = [0] * n_nodes, [0] * n_nodes, [0] * n_nodes
-    for e, c in zip(edges, caps):
-        into[e.head] += c
-        out_of[e.tail] += c
-        balance[e.head] += e.lower
-        balance[e.tail] -= e.lower
-    residual_caps = [
-        max(e.lower, min(c, 1 + into[e.tail], 1 + out_of[e.head])) - e.lower
-        for e, c in zip(edges, caps)
-    ]
-    if max(residual_caps + [abs(b) for b in balance], default=0) > _MAX_CAPACITY:
+    # and certificate cuts stay the same while capacities stay small.
+    residual_caps = [max(low, min(c, 1 + into[u], 1 + out_of[v])) - low for u, v, low, c in edges]
+    if max(residual_caps + [abs(b) for b in balance]) > _MAX_CAPACITY:
         raise ValueError(
             f"flow capacities exceed {_MAX_CAPACITY}, the largest the "
             "max-flow solver accepts"
         )
 
-    n_total = n_nodes + 2
     ss, tt = n_nodes, n_nodes + 1
-    cap = np.zeros((n_total, n_total), dtype=np.int64)
-    for e, residual_cap in zip(edges, residual_caps):
-        cap[e.tail, e.head] = residual_cap
-    required = 0
-    for v in range(n_nodes):
-        if balance[v] > 0:
-            cap[ss, v] = balance[v]
-            required += balance[v]
-        elif balance[v] < 0:
-            cap[v, tt] = -balance[v]
-
-    result = maximum_flow(csr_matrix(cap), ss, tt)
-    flow = result.flow.toarray().astype(np.int64)
-    if result.flow_value == required:
+    arcs = [(u, v, r) for (u, v, _, _), r in zip(edges, residual_caps) if r > 0]
+    arcs += [(ss, v, b) for v, b in enumerate(balance) if b > 0]
+    arcs += [(v, tt, -b) for v, b in enumerate(balance) if b < 0]
+    tails, heads, caps = (np.array(column, dtype=np.int64) for column in zip(*arcs))
+    graph = csr_matrix((caps, (tails, heads)), shape=(tt + 1, tt + 1))
+    result = maximum_flow(graph, ss, tt)
+    if result.flow_value == sum(b for b in balance if b > 0):
         # The flow matrix is antisymmetric (net flow), so an arc whose
         # opposite direction carried flow shows a negative entry; the
         # clipped value is a valid per-arc assignment with the same
         # conservation balance.
-        positive = np.maximum(flow, 0)
-        flows = np.array(
-            [e.lower + positive[e.tail, e.head] for e in edges], dtype=np.int64
-        )
-        return CirculationResult(True, flows, None)
+        shipped = result.flow[2 : 2 + n, 2 + n : n_nodes].toarray()
+        x = np.where(y, np.array(min_qty)[:, None] + np.maximum(shipped, 0), 0)
+        return QuantityResult(True, x=x)
 
-    order = breadth_first_order(csr_matrix(cap - flow > 0), ss, return_predecessors=False)
-    reached = frozenset(int(v) for v in order if v < n_nodes)
-    return CirculationResult(False, None, reached)
-
-
-def cut_violation(edges: list[Edge], node_set: frozenset[int] | set[int]) -> tuple[int, float]:
-    """Evaluate a node set as a lower-bound cut certificate.
-
-    Returns (required, available): the sum of lower bounds on edges
-    entering the set versus the capacity of edges leaving it. The set
-    certifies infeasibility when required > available.
-    """
-    required = 0
-    available: float = 0.0
-    for e in edges:
-        tail_in = e.tail in node_set
-        head_in = e.head in node_set
-        if head_in and not tail_in:
-            required += e.lower
-        elif tail_in and not head_in:
-            available += np.inf if e.cap is None else e.cap
-    return required, available
+    cut = set(breadth_first_order(graph - result.flow > 0, ss, return_predecessors=False).tolist())
+    # Lower bounds on the edges entering the cut against the caps of
+    # the edges leaving it.
+    required = sum(low for u, v, low, _ in edges if v in cut and u not in cut)
+    available = sum(c for u, v, _, c in edges if u in cut and v not in cut)
+    if required <= available:
+        raise AssertionError("infeasible circulation produced no violated cut")
+    demand_driven = 1 in cut
+    if demand_driven:
+        # Store lower bands cross into the cut exactly for the
+        # stores outside it, and supply leaves over the planned
+        # totals of the articles outside it.
+        stores = tuple(t for t in range(s) if sto(t) not in cut)
+        articles = tuple(i for i in range(n) if art(i) not in cut)
+    else:
+        # Forced minimum shipments flow into the stores inside
+        # the cut from the assigned articles left outside it.
+        stores = tuple(t for t in range(s) if sto(t) in cut)
+        articles = tuple(sorted({i for i, t in pairs if art(i) not in cut and sto(t) in cut}))
+    certificate = CutCertificate(articles, stores, demand_driven, required, int(available))
+    return QuantityResult(False, certificate=certificate)

@@ -53,7 +53,7 @@ from .errors import (
     TooFewStylesError,
     Violation,
 )
-from .flow import Edge, cut_violation, feasible_circulation
+from .flow import CutCertificate, EdgeCertificate, QuantityResult, feasible_circulation
 from .variety import VarietyMeasure, variety
 
 __all__ = [
@@ -124,62 +124,6 @@ class AssignmentPattern:
 
     def store_set(self, s: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero(self.y[:, s])[0])
-
-
-@dataclass(frozen=True)
-class CutCertificate:
-    """Cut witness that no feasible quantities exist.
-
-    ``required`` units must cross into the cut (lower bounds) but only
-    ``available`` can, so required > available proves infeasibility.
-    When ``demand_driven``, the listed stores' lower quantity bands
-    outstrip the supply reachable from the listed articles; otherwise
-    the forced minimum shipments into the listed stores exceed what
-    those stores can absorb or reroute.
-    """
-
-    articles: tuple[int, ...]
-    stores: tuple[int, ...]
-    demand_driven: bool
-    required: int
-    available: int
-
-    def __str__(self) -> str:
-        where = f"stores {list(self.stores)}" if self.stores else "the stores overall"
-        if self.demand_driven:
-            return (
-                f"{where} demand at least {self.required} units, but at most "
-                f"{self.available} can reach them (supply articles {list(self.articles)})"
-            )
-        return (
-            f"minimum shipments into {where} total {self.required} units, "
-            f"but at most {self.available} can be absorbed"
-        )
-
-
-@dataclass(frozen=True)
-class EdgeCertificate:
-    """A single (article, store) pair whose minimum exceeds its cap."""
-
-    article: int
-    store: int
-    min_qty: int
-    cap: int
-
-    def __str__(self) -> str:
-        return (
-            f"article {self.article} at store {self.store} requires at least "
-            f"{self.min_qty} units but is capped at {self.cap}"
-        )
-
-
-@dataclass(frozen=True)
-class QuantityResult:
-    """Outcome of a quantity-feasibility check for one pattern."""
-
-    feasible: bool
-    x: np.ndarray | None = None
-    certificate: CutCertificate | EdgeCertificate | None = None
 
 
 class SolveStatus(Enum):
@@ -260,82 +204,6 @@ class SolveReport:
         }
 
 
-def _check_pattern_shape(instance: DistributionInstance, pattern: AssignmentPattern) -> None:
-    if pattern.n_articles != instance.n_articles or pattern.n_stores != instance.n_stores:
-        raise DimensionMismatchError(
-            f"pattern is {pattern.n_articles}x{pattern.n_stores} but the instance "
-            f"has {instance.n_articles} articles and {instance.n_stores} stores"
-        )
-
-
-def _build_edges(instance: DistributionInstance, y: np.ndarray):
-    """Circulation network for a pattern: SRC=0, SNK=1, then articles, stores."""
-    n, s = y.shape
-    src, snk = 0, 1
-    art = lambda i: 2 + i
-    sto = lambda t: 2 + n + t
-    edges: list[Edge] = []
-    assign_pos: dict[tuple[int, int], int] = {}
-    for i, article in enumerate(instance.articles):
-        edges.append(Edge(src, art(i), 0, article.planned_total))
-    for t in range(s):
-        cap_t = instance.big_m(t)
-        for i in range(n):
-            if y[i, t]:
-                assign_pos[(i, t)] = len(edges)
-                edges.append(Edge(art(i), sto(t), instance.articles[i].min_qty, cap_t))
-    for t in range(s):
-        edges.append(Edge(sto(t), snk, instance.lower_band(t), instance.upper_band(t)))
-    edges.append(Edge(snk, src, 0, None))
-    return edges, assign_pos, 2 + n + s
-
-
-def _certificate_from_cut(
-    instance: DistributionInstance,
-    edges: list[Edge],
-    reached: frozenset[int],
-) -> CutCertificate:
-    n = instance.n_articles
-    required, available = cut_violation(edges, reached)
-    if required <= available:
-        raise AssertionError("infeasible circulation produced no violated cut")
-    demand_driven = 1 in reached
-    if demand_driven:
-        # Store lower bands cross into the cut exactly for the
-        # stores outside it, and supply leaves over the planned
-        # totals of the articles outside it.
-        stores = tuple(
-            t for t in range(instance.n_stores) if (2 + n + t) not in reached
-        )
-        articles = tuple(
-            i for i in range(n) if (2 + i) not in reached
-        )
-    else:
-        # Forced minimum shipments flow into the stores inside
-        # the cut from the assigned articles left outside it.
-        stores = tuple(
-            t for t in range(instance.n_stores) if (2 + n + t) in reached
-        )
-        articles = tuple(
-            sorted(
-                {
-                    edge.tail - 2
-                    for edge in edges
-                    if 2 <= edge.tail < 2 + n
-                    and edge.tail not in reached
-                    and edge.head in reached
-                }
-            )
-        )
-    return CutCertificate(
-        articles=articles,
-        stores=stores,
-        demand_driven=demand_driven,
-        required=required,
-        available=int(available),
-    )
-
-
 def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern) -> QuantityResult:
     """Decide whether a pattern admits integer shipment quantities.
 
@@ -347,23 +215,22 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
         QuantityResult. On success, x is one integer solution (flows are
         integral, so no rounding is involved). On failure, certificate
         explains the obstruction.
+
+    Raises:
+        ValueError: Bounds that ``flow.feasible_circulation`` rejects.
     """
-    _check_pattern_shape(instance, pattern)
-    y = pattern.y
-    n, s = y.shape
-    edges, assign_pos, n_nodes = _build_edges(instance, y)
-    for (i, t), pos in assign_pos.items():
-        edge = edges[pos]
-        if edge.lower > edge.cap:
-            return QuantityResult(False, certificate=EdgeCertificate(i, t, edge.lower, edge.cap))
-    result = feasible_circulation(n_nodes, edges)
-    if result.feasible:
-        x = np.zeros((n, s), dtype=np.int64)
-        for (i, t), pos in assign_pos.items():
-            x[i, t] = result.flows[pos]
-        return QuantityResult(True, x=x)
-    certificate = _certificate_from_cut(instance, edges, result.reached)
-    return QuantityResult(False, certificate=certificate)
+    if pattern.n_articles != instance.n_articles or pattern.n_stores != instance.n_stores:
+        raise DimensionMismatchError(
+            f"pattern is {pattern.n_articles}x{pattern.n_stores} but the instance "
+            f"has {instance.n_articles} articles and {instance.n_stores} stores"
+        )
+    for t in range(instance.n_stores):
+        cap_t = instance.big_m(t)
+        for i in pattern.store_set(t):
+            min_qty = instance.articles[i].min_qty
+            if min_qty > cap_t:
+                return QuantityResult(False, certificate=EdgeCertificate(i, t, min_qty, cap_t))
+    return feasible_circulation(instance, pattern.y)
 
 
 def _store_varieties(instance: DistributionInstance, y: np.ndarray) -> list[float]:

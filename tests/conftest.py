@@ -205,6 +205,43 @@ def dp_quantity_feasible(
     return any(all(state[t] >= lbs[t] for t in range(s)) for state in states)
 
 
+def cut_totals(instance: DistributionInstance, y: np.ndarray, cert) -> tuple[int, int]:
+    """A cut certificate's (required, available), re-derived from the bounds.
+
+    A demand-driven cut holds the source, the sink and every article and
+    store the certificate leaves out: the listed stores' lower bands and
+    the listed articles' minimums into other stores must enter it, while
+    the listed articles' planned totals and the caps of other articles'
+    pairs into listed stores may leave it. Any other cut holds just the
+    listed stores, which the minimums of their assigned articles (the
+    listed ones) enter and their upper bands leave. Plain loops over
+    the instance; nothing here touches the flow formulation.
+    """
+    n, s = y.shape
+    articles, stores = set(cert.articles), set(cert.stores)
+    required = available = 0
+    if cert.demand_driven:
+        for i in articles:
+            available += instance.articles[i].planned_total
+        for t in stores:
+            required += instance.lower_band(t)
+        for i in range(n):
+            for t in range(s):
+                if y[i, t] and i in articles and t not in stores:
+                    required += instance.articles[i].min_qty
+                if y[i, t] and i not in articles and t in stores:
+                    available += instance.big_m(t)
+    else:
+        assigned = sorted({i for i in range(n) for t in stores if y[i, t]})
+        assert list(cert.articles) == assigned
+        for t in stores:
+            available += instance.upper_band(t)
+            for i in range(n):
+                if y[i, t]:
+                    required += instance.articles[i].min_qty
+    return required, available
+
+
 @pytest.fixture
 def line_instance() -> DistributionInstance:
     """Four single-unit styles at 0,1,2,3 and two stores of two units.

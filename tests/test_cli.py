@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -456,6 +457,20 @@ class TestExperiment:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_linearity_range_beyond_population_exits_2_early(self, capsys):
+        # The range is checked against the population before it is listed.
+        tracemalloc.start()
+        try:
+            code = main(["experiment", "--kind", "linearity", "--sizes", "2..3000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: population has 35 styles but a subset of 3000000 was requested\n"
+        )
+        assert peak < 10 * 2**20
+
     def test_linearity_population_file(self, catalog_path, capsys):
         code = main(
             [
@@ -487,7 +502,11 @@ class TestExperiment:
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("infeasible: ")
+        assert captured.err == (
+            "infeasible: baseline allocator found no feasible quantities\n"
+            "certificate: stores [0, 1] demand at least 72 units, but at most 40 "
+            "can reach them (supply articles [0, 1])\n"
+        )
 
     def test_counterexample_deviation_exits_1(self, monkeypatch, capsys):
         def deviate():

@@ -1,122 +1,140 @@
-"""Circulation feasibility and cut certificates."""
+"""The pattern's circulation: quantities, cut certificates and bounds."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stylemix.flow import Edge, cut_violation, feasible_circulation
+from stylemix.core import Article, BigMPolicy, DistanceMatrix, DistributionInstance, Store
+from stylemix.flow import CutCertificate, EdgeCertificate, feasible_circulation
+from stylemix.solver import AssignmentPattern, quantity_feasible
+
+from conftest import cut_totals
 
 
-def check_flows(edges, flows):
-    """Every edge respects its bounds and every node conserves flow."""
-    n = max(max(e.tail, e.head) for e in edges) + 1
-    net = np.zeros(n, dtype=np.int64)
-    for e, f in zip(edges, flows):
-        assert e.lower <= f
-        if e.cap is not None:
-            assert f <= e.cap
-        net[e.tail] -= f
-        net[e.head] += f
-    assert np.all(net == 0)
+def make_instance(planned, min_qty, desired, alpha="0", policy=BigMPolicy.STORE_QTY):
+    n = len(planned)
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    return DistributionInstance(
+        articles=tuple(Article(f"a{i}", p, m) for i, (p, m) in enumerate(zip(planned, min_qty))),
+        stores=tuple(Store(f"s{t}", q) for t, q in enumerate(desired)),
+        alpha=Fraction(alpha),
+        distances=DistanceMatrix(d),
+        big_m_policy=policy,
+    )
+
+
+def check_quantities(instance, y, x):
+    """x keeps every bound of the pattern y."""
+    n, s = y.shape
+    assert x.shape == (n, s)
+    assert x.dtype == np.int64
+    for t in range(s):
+        for i in range(n):
+            if y[i, t]:
+                assert instance.articles[i].min_qty <= x[i, t] <= instance.big_m(t)
+            else:
+                assert x[i, t] == 0
+        assert instance.lower_band(t) <= x[:, t].sum() <= instance.upper_band(t)
+    for i in range(n):
+        assert x[i].sum() <= instance.articles[i].planned_total
 
 
 class TestFeasibleCirculation:
     def test_simple_cycle(self):
-        edges = [Edge(0, 1, 2, 5), Edge(1, 0, 0, 10)]
-        result = feasible_circulation(2, edges)
+        instance = make_instance([5, 5], [1, 1], [4])
+        y = np.ones((2, 1), dtype=np.int8)
+        result = feasible_circulation(instance, y)
         assert result.feasible
-        check_flows(edges, result.flows)
+        check_quantities(instance, y, result.x)
 
     def test_lower_bound_forces_flow(self):
-        edges = [Edge(0, 1, 3, 3), Edge(1, 2, 0, 5), Edge(2, 0, 0, None)]
-        result = feasible_circulation(3, edges)
+        instance = make_instance([9, 9], [3, 3], [6])
+        result = feasible_circulation(instance, np.ones((2, 1), dtype=np.int8))
         assert result.feasible
-        assert result.flows[0] == 3
+        assert result.x.tolist() == [[3], [3]]
 
     def test_infeasible_when_cap_blocks_lower(self):
-        # 0->1 must carry 4 but the only return path carries at most 2.
-        edges = [Edge(0, 1, 4, 8), Edge(1, 0, 0, 2)]
-        result = feasible_circulation(2, edges)
+        # Both minimums (3 + 3) must enter a store that takes at most 4.
+        instance = make_instance([9, 9], [3, 3], [4])
+        y = np.ones((2, 1), dtype=np.int8)
+        result = feasible_circulation(instance, y)
         assert not result.feasible
-        assert result.reached is not None
+        assert result.certificate == CutCertificate((0, 1), (0,), False, 6, 4)
+        assert cut_totals(instance, y, result.certificate) == (6, 4)
 
     def test_zero_everywhere_is_feasible(self):
-        edges = [Edge(0, 1, 0, 4), Edge(1, 0, 0, 4)]
-        result = feasible_circulation(2, edges)
+        # A store that wants nothing, on an unvalidated instance.
+        instance = make_instance([3, 3], [1, 1], [0])
+        result = feasible_circulation(instance, np.zeros((2, 1), dtype=np.int8))
         assert result.feasible
-        assert list(result.flows) == [0, 0]
-
-    def test_parallel_edges_rejected(self):
-        with pytest.raises(ValueError):
-            feasible_circulation(2, [Edge(0, 1, 0, 1), Edge(0, 1, 0, 2)])
-
-    def test_negative_lower_rejected(self):
-        with pytest.raises(ValueError):
-            feasible_circulation(2, [Edge(0, 1, -1, 2)])
-
-    def test_cap_below_lower_rejected(self):
-        with pytest.raises(ValueError):
-            feasible_circulation(2, [Edge(0, 1, 3, 2)])
+        assert result.x.tolist() == [[0], [0]]
 
     def test_diamond_with_bounds(self):
-        edges = [
-            Edge(0, 1, 1, 4),
-            Edge(0, 2, 1, 4),
-            Edge(1, 3, 0, 3),
-            Edge(2, 3, 0, 3),
-            Edge(3, 0, 2, 6),
-        ]
-        result = feasible_circulation(4, edges)
+        instance = make_instance([7, 7], [2, 2], [6, 6], alpha="1/5")
+        y = np.ones((2, 2), dtype=np.int8)
+        result = feasible_circulation(instance, y)
         assert result.feasible
-        check_flows(edges, result.flows)
+        check_quantities(instance, y, result.x)
+
+    @pytest.mark.parametrize(
+        "planned, min_qty, alpha, name",
+        [
+            (-5, 1, "0", "article 'a0'"),
+            (5, -1, "0", "article 'a0'"),
+            (5, 1, "3/2", "store 's0'"),
+            (5, 1, "-1/2", "store 's0'"),
+        ],
+        ids=["negative-planned-total", "negative-min-qty", "alpha-3/2", "alpha--1/2"],
+    )
+    def test_invalid_bounds_name_the_record(self, planned, min_qty, alpha, name):
+        # Unvalidated instances: the checks name the record, not a node.
+        instance = make_instance([planned, 5], [min_qty, 1], [4], alpha)
+        with pytest.raises(ValueError, match=name):
+            quantity_feasible(instance, AssignmentPattern.from_sets(2, [{0, 1}]))
 
 
 class TestCutCertificates:
-    def infeasible_cut(self, n, edges):
-        # The residual-reachable set is the source side of a minimum cut,
-        # so it must certify by itself.
-        result = feasible_circulation(n, edges)
-        assert not result.feasible
-        required, available = cut_violation(edges, result.reached)
-        assert required > available
-        return result.reached, required, available
-
     def test_certificate_for_blocked_lower_bound(self):
-        edges = [Edge(0, 1, 4, 8), Edge(1, 0, 0, 2)]
-        cut, required, available = self.infeasible_cut(2, edges)
-        assert required >= 4
-        assert available <= 2
-
-    def test_unbounded_edge_gives_infinite_capacity(self):
-        edges = [Edge(0, 1, 0, None), Edge(1, 0, 0, 5)]
-        required, available = cut_violation(edges, frozenset({0}))
-        assert available == float("inf")
+        # The store needs 10 units but both articles together hold 6.
+        instance = make_instance([3, 3], [1, 1], [10])
+        y = np.ones((2, 1), dtype=np.int8)
+        result = feasible_circulation(instance, y)
+        assert not result.feasible
+        assert result.certificate == CutCertificate((0, 1), (0,), True, 10, 6)
+        assert cut_totals(instance, y, result.certificate) == (10, 6)
 
     def test_random_networks_flow_or_cut(self):
-        # Soundness both ways on random circulations: a feasible result
-        # verifies directly, an infeasible one must yield a violated cut
-        # (which is a proof, so no oracle is needed).
+        # Soundness both ways on random patterns: a feasible result keeps
+        # every bound, an infeasible one is a violated cut whose numbers
+        # are re-derived from the instance (a proof, so no oracle is needed).
         rng = np.random.default_rng(0)
-        feasible_seen = infeasible_seen = 0
-        for _ in range(300):
-            n = int(rng.integers(2, 7))
-            edges = []
-            pairs = set()
-            for _ in range(int(rng.integers(1, 12))):
-                u, v = int(rng.integers(n)), int(rng.integers(n))
-                if u == v or (u, v) in pairs:
-                    continue
-                pairs.add((u, v))
-                lower = int(rng.integers(0, 4))
-                cap = lower + int(rng.integers(0, 5))
-                edges.append(Edge(u, v, lower, cap))
-            if not edges:
-                continue
-            result = feasible_circulation(n, edges)
+        seen = {"feasible": 0, "demand": 0, "minimums": 0, "edge": 0}
+        for _ in range(400):
+            n, s = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            instance = make_instance(
+                [int(v) for v in rng.integers(0, 15, n)],
+                [int(v) for v in rng.integers(1, 6, n)],
+                [int(v) for v in rng.integers(1, 14, s)],
+                alpha=str(rng.choice(["0", "1/5", "1/2", "9/10"])),
+                policy=BigMPolicy.STORE_QTY if rng.random() < 0.5 else BigMPolicy.BAND_LIMIT,
+            )
+            y = np.zeros((n, s), dtype=np.int8)
+            for t in range(s):
+                y[rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False), t] = 1
+            result = quantity_feasible(instance, AssignmentPattern(y))
+            cert = result.certificate
             if result.feasible:
-                feasible_seen += 1
-                check_flows(edges, result.flows)
+                seen["feasible"] += 1
+                check_quantities(instance, y, result.x)
+            elif isinstance(cert, EdgeCertificate):
+                seen["edge"] += 1
+                assert y[cert.article, cert.store]
+                assert cert.min_qty == instance.articles[cert.article].min_qty
+                assert cert.min_qty > cert.cap == instance.big_m(cert.store)
             else:
-                infeasible_seen += 1
-                self.infeasible_cut(n, edges)
-        assert feasible_seen > 20
-        assert infeasible_seen > 20
+                seen["demand" if cert.demand_driven else "minimums"] += 1
+                assert cert.required > cert.available
+                assert cut_totals(instance, y, cert) == (cert.required, cert.available)
+        assert min(seen.values()) > 20, seen
