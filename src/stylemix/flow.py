@@ -38,7 +38,8 @@ class CutCertificate:
     When ``demand_driven``, the listed stores' lower quantity bands
     outstrip the supply reachable from the listed articles; otherwise
     the forced minimum shipments into the listed stores exceed what
-    those stores can absorb or reroute.
+    those stores can absorb or reroute. The message names the records
+    by their ids; ``articles`` and ``stores`` hold their positions.
     """
 
     articles: tuple[int, ...]
@@ -46,13 +47,15 @@ class CutCertificate:
     demand_driven: bool
     required: int
     available: int
+    article_ids: tuple[str, ...]
+    store_ids: tuple[str, ...]
 
     def __str__(self) -> str:
-        where = f"stores {list(self.stores)}" if self.stores else "the stores overall"
+        where = f"stores {list(self.store_ids)}" if self.stores else "the stores overall"
         if self.demand_driven:
             return (
                 f"{where} demand at least {self.required} units, but at most "
-                f"{self.available} can reach them (supply articles {list(self.articles)})"
+                f"{self.available} can reach them (supply articles {list(self.article_ids)})"
             )
         return (
             f"minimum shipments into {where} total {self.required} units, "
@@ -62,16 +65,18 @@ class CutCertificate:
 
 @dataclass(frozen=True)
 class EdgeCertificate:
-    """A single (article, store) pair whose minimum exceeds its cap."""
+    """A single (article, store) pair, by position and id, whose minimum exceeds its cap."""
 
     article: int
     store: int
     min_qty: int
     cap: int
+    article_id: str
+    store_id: str
 
     def __str__(self) -> str:
         return (
-            f"article {self.article} at store {self.store} requires at least "
+            f"article {self.article_id!r} at store {self.store_id!r} requires at least "
             f"{self.min_qty} units but is capped at {self.cap}"
         )
 
@@ -88,8 +93,9 @@ class QuantityResult:
 def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> QuantityResult:
     """Find integer quantities for the pattern ``y`` or a certificate cut.
 
-    Every assigned pair's min_qty must be within its store's big_m. On
-    failure the certificate is read off the original nodes reachable
+    An assigned pair whose min_qty exceeds its store's big_m fails at
+    once with an EdgeCertificate, before the bounds below are checked.
+    Otherwise the certificate is read off the original nodes reachable
     from the super source in the final residual graph: the source side
     of a minimum cut, which always certifies.
 
@@ -101,6 +107,13 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
     planned = [article.planned_total for article in instance.articles]
     min_qty = [article.min_qty for article in instance.articles]
     cap = [instance.big_m(t) for t in range(s)]
+    pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]
+    for i, t in pairs:
+        if min_qty[i] > cap[t]:
+            edge = EdgeCertificate(
+                i, t, min_qty[i], cap[t], instance.articles[i].id, instance.stores[t].id
+            )
+            return QuantityResult(False, certificate=edge)
     lower = [instance.lower_band(t) for t in range(s)]
     upper = [instance.upper_band(t) for t in range(s)]
     for i, article in enumerate(instance.articles):
@@ -113,7 +126,6 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
     n_nodes = 2 + n + s
     art = lambda i: 2 + i
     sto = lambda t: 2 + n + t
-    pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]
     # (tail, head, lower, cap) per edge, the uncapped return edge last.
     edges = (
         [(0, art(i), 0, planned[i]) for i in range(n)]
@@ -172,5 +184,9 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
         # the cut from the assigned articles left outside it.
         stores = tuple(t for t in range(s) if sto(t) in cut)
         articles = tuple(sorted({i for i, t in pairs if art(i) not in cut and sto(t) in cut}))
-    certificate = CutCertificate(articles, stores, demand_driven, required, int(available))
+    article_ids = tuple(instance.articles[i].id for i in articles)
+    store_ids = tuple(instance.stores[t].id for t in stores)
+    certificate = CutCertificate(
+        articles, stores, demand_driven, required, int(available), article_ids, store_ids
+    )
     return QuantityResult(False, certificate=certificate)

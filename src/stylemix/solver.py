@@ -8,8 +8,9 @@ patterns and delegate quantity placement to a flow subproblem:
     quantity_feasible   decides, for a fixed pattern, whether integer
                         quantities exist inside all bounds, returning
                         either the quantities or a certificate cut
-    solve_exact         depth-first enumeration of per-store subsets
-                        with objective and capacity pruning; optimal
+    solve_exact         depth-first enumeration of per-store subsets,
+                        pruned by a completion bound that knows which
+                        articles' supply has run out; optimal
     solve_heuristic     greedy construction, certificate-guided repair,
                         then first-improvement local search
 
@@ -122,9 +123,6 @@ class AssignmentPattern:
     def n_stores(self) -> int:
         return int(self.y.shape[1])
 
-    def store_set(self, s: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.y[:, s])[0])
-
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
@@ -224,12 +222,6 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
             f"pattern is {pattern.n_articles}x{pattern.n_stores} but the instance "
             f"has {instance.n_articles} articles and {instance.n_stores} stores"
         )
-    for t in range(instance.n_stores):
-        cap_t = instance.big_m(t)
-        for i in pattern.store_set(t):
-            min_qty = instance.articles[i].min_qty
-            if min_qty > cap_t:
-                return QuantityResult(False, certificate=EdgeCertificate(i, t, min_qty, cap_t))
     return feasible_circulation(instance, pattern.y)
 
 
@@ -403,14 +395,19 @@ def solve_exact(
     """Enumerate assignment patterns to find the best feasible plan.
 
     Depth-first search assigns each store an admissible style subset,
-    trying each store's subsets best-first (descending variety) and
-    cutting a store's remaining subsets as soon as even the best
-    completion would fall below the incumbent. Subsets whose forced
-    minimums exceed an article's remaining planned total are skipped.
-    Complete patterns go through the flow feasibility check. Among
-    objective ties (within 1e-12) the plan with the lexicographically
-    smallest row-major y wins, so the result does not depend on the
-    visiting order.
+    trying each store's subsets best-first (descending variety). The
+    supply state is a bitmask of the articles whose remaining planned
+    total is below their min_qty; subsets holding one are skipped. The
+    memoized bound ``suffix(t, blocked)`` sums each later store's best
+    subset avoiding the mask, which only grows with depth, so it bounds
+    every completion. A store's remaining subsets are cut once the bound
+    falls below the incumbent, and a subset is skipped when the bound
+    under the articles it would block does. Neither prunes a pattern the
+    last store's incumbent test would pass (up to rounding: the bound
+    adds the same values in another order), so the same patterns reach
+    the flow check in the same order. Among objective ties (within
+    1e-12) the plan with the lexicographically smallest row-major y
+    wins, so the result does not depend on the visiting order.
 
     ``limits.time_budget`` is checked while listing candidate subsets
     and on entry to every search node; ``limits.max_patterns`` caps
@@ -437,14 +434,22 @@ def solve_exact(
             raise InfeasibleError(
                 f"store {instance.stores[t].id!r} has no admissible style subset"
             )
-        candidates.append(sorted(options, key=lambda option: -option[1]))
-
-    suffix_best = [0.0] * (s + 1)
-    for t in range(s - 1, -1, -1):
-        suffix_best[t] = suffix_best[t + 1] + candidates[t][0][1]
+        options.sort(key=lambda option: -option[1])
+        candidates.append([(combo, value, sum(1 << i for i in combo)) for combo, value in options])
 
     mins = [int(v) for v in instance.min_quantities()]
     remaining = [int(v) for v in instance.planned_totals()]
+    bounds: dict[tuple[int, int], float] = {}
+
+    def suffix(t: int, blocked: int) -> float:
+        """Sum over stores u >= t of u's best subset avoiding ``blocked``."""
+        if t == s:
+            return 0.0
+        key = (t, blocked)
+        if key not in bounds:
+            best = next((v for _, v, mask in candidates[t] if not mask & blocked), -math.inf)
+            bounds[key] = suffix(t + 1, blocked) + best
+        return bounds[key]
 
     best_value = -math.inf
     best_key: bytes | None = None
@@ -454,7 +459,7 @@ def solve_exact(
     out_of_budget = False
     last_certificate = None
 
-    def dfs(t: int, partial: float) -> None:
+    def dfs(t: int, partial: float, blocked: int, tight: int) -> None:
         nonlocal best_value, best_key, best_x, checked
         nonlocal out_of_budget, last_certificate
         if deadline is not None and time.perf_counter() > deadline:
@@ -480,22 +485,31 @@ def solve_exact(
                 best_key = key
                 best_x = result.x
             return
-        for combo, value in candidates[t]:
-            if partial + value + suffix_best[t + 1] < best_value - _TIE_TOLERANCE:
+        rest = suffix(t + 1, blocked)
+        for combo, value, mask in candidates[t]:
+            if partial + value + rest < best_value - _TIE_TOLERANCE:
                 break
-            if any(remaining[i] < mins[i] for i in combo):
+            if mask & blocked:
                 continue
+            after = blocked | (mask & tight)
+            if partial + value + suffix(t + 1, after) < best_value - _TIE_TOLERANCE:
+                continue
+            tighter = tight
             for i in combo:
                 remaining[i] -= mins[i]
+                if remaining[i] < 2 * mins[i]:
+                    tighter |= 1 << i
             chosen.append(combo)
-            dfs(t + 1, partial + value)
+            dfs(t + 1, partial + value, after, tighter)
             chosen.pop()
             for i in combo:
                 remaining[i] += mins[i]
             if out_of_budget:
                 return
 
-    dfs(0, 0.0)
+    # Article bitmasks: blocked articles cannot take one more minimum
+    # (validation lets every article take one), tight ones at most one.
+    dfs(0, 0.0, 0, sum(1 << i for i in range(n) if remaining[i] < 2 * mins[i]))
     elapsed = time.perf_counter() - started
 
     if best_x is not None:

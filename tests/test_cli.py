@@ -241,7 +241,10 @@ class TestSolve:
         assert main(["solve", "--instance", str(infeasible_path)]) == 3
         captured = capsys.readouterr()
         assert "infeasible:" in captured.err
-        assert "certificate:" in captured.err
+        assert (
+            "certificate: stores ['s0', 's1'] demand at least 72 units, but at most 40 "
+            "can reach them (supply articles ['a0', 'a1'])\n"
+        ) in captured.err
         assert captured.out == (
             "{\n"
             '  "status": "infeasible",\n'
@@ -504,8 +507,8 @@ class TestExperiment:
         assert captured.out == ""
         assert captured.err == (
             "infeasible: baseline allocator found no feasible quantities\n"
-            "certificate: stores [0, 1] demand at least 72 units, but at most 40 "
-            "can reach them (supply articles [0, 1])\n"
+            "certificate: stores ['s0', 's1'] demand at least 72 units, but at most 40 "
+            "can reach them (supply articles ['a0', 'a1'])\n"
         )
 
     def test_counterexample_deviation_exits_1(self, monkeypatch, capsys):

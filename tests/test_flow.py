@@ -61,7 +61,9 @@ class TestFeasibleCirculation:
         y = np.ones((2, 1), dtype=np.int8)
         result = feasible_circulation(instance, y)
         assert not result.feasible
-        assert result.certificate == CutCertificate((0, 1), (0,), False, 6, 4)
+        assert result.certificate == CutCertificate(
+            (0, 1), (0,), False, 6, 4, ("a0", "a1"), ("s0",)
+        )
         assert cut_totals(instance, y, result.certificate) == (6, 4)
 
     def test_zero_everywhere_is_feasible(self):
@@ -102,7 +104,9 @@ class TestCutCertificates:
         y = np.ones((2, 1), dtype=np.int8)
         result = feasible_circulation(instance, y)
         assert not result.feasible
-        assert result.certificate == CutCertificate((0, 1), (0,), True, 10, 6)
+        assert result.certificate == CutCertificate(
+            (0, 1), (0,), True, 10, 6, ("a0", "a1"), ("s0",)
+        )
         assert cut_totals(instance, y, result.certificate) == (10, 6)
 
     def test_random_networks_flow_or_cut(self):

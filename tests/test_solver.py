@@ -16,6 +16,7 @@ from stylemix.core import (
     DistributionPlan,
     Store,
     distance_matrix,
+    validate_instance,
 )
 from stylemix.errors import (
     BudgetExceededError,
@@ -81,8 +82,7 @@ class TestAssignmentPattern:
 
     def test_from_sets(self):
         pattern = AssignmentPattern.from_sets(3, [{0, 2}, {1, 2}])
-        assert pattern.store_set(0) == (0, 2)
-        assert pattern.store_set(1) == (1, 2)
+        assert pattern.y.T.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
 class TestQuantityFeasible:
@@ -245,6 +245,17 @@ def brute_force_optimum(instance) -> tuple[float, tuple[int, ...]] | None:
     return best, min(y for value, y in feasible if value >= best - 1e-9)
 
 
+def supply_bound_instance() -> DistributionInstance:
+    """8 articles over 4 stores; planned totals of three minimums make supply bind."""
+    desired = np.random.default_rng(2).integers(12, 40, 4)
+    return DistributionInstance(
+        articles=tuple(Article(f"a{i}", 12, 4) for i in range(8)),
+        stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(desired)),
+        alpha=Fraction("0.2"),
+        distances=distance_matrix(synthetic_population(8, 16, 2)),
+    )
+
+
 class TestSolveExact:
     def test_line_of_four(self, line_instance):
         report = solve_exact(line_instance)
@@ -269,6 +280,43 @@ class TestSolveExact:
             assert plan_violations(instance, report.plan) == []
             compared += 1
         assert compared == 25
+
+    def test_matches_brute_force_where_supply_binds(self):
+        # Some article cannot serve every store, so the search prunes on
+        # the articles whose supply has run out; infeasible instances
+        # must raise exactly when brute force finds no feasible pattern.
+        compared = infeasible = 0
+        for seed in range(120):
+            instance = adversarial_instance(seed)
+            n, s = instance.n_articles, instance.n_stores
+            if validate_instance(instance) or s < 2 or (2**n - n - 1) ** s > 1400:
+                continue
+            if all(a.planned_total >= s * a.min_qty for a in instance.articles):
+                continue
+            expected = brute_force_optimum(instance)
+            compared += 1
+            if expected is None:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    solve_exact(instance)
+                continue
+            expected_value, expected_y = expected
+            report = solve_exact(instance)
+            assert report.objective == pytest.approx(expected_value, abs=1e-9), seed
+            assert tuple(int(v) for v in report.plan.y.reshape(-1)) == expected_y, seed
+        assert infeasible >= 10 and compared - infeasible >= 8
+
+    def test_supply_binding_optimum_is_pinned(self):
+        report = solve_exact(supply_bound_instance())
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.iterations == 12
+        assert report.objective == 28.076869277147694
+        assert report.plan.y.T.tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 0, 1, 1, 0, 0, 1],
+            [0, 0, 1, 1, 0, 1, 1, 0],
+            [1, 1, 0, 0, 1, 1, 1, 1],
+        ]
 
     def test_demo_optimum_and_tie_pick(self):
         # The demo has 16 optimal patterns; the smallest row-major y wins.
@@ -465,15 +513,8 @@ class TestSolveHeuristic:
         assert report.objective == 252.8665332797081
 
     def test_local_search_trajectory_is_pinned(self):
-        # Planned totals of three minimums make the supply test bind; on
-        # this instance both runs accept swaps, moves and toggles.
-        desired = np.random.default_rng(2).integers(12, 40, 4)
-        instance = DistributionInstance(
-            articles=tuple(Article(f"a{i}", 12, 4) for i in range(8)),
-            stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(desired)),
-            alpha=Fraction("0.2"),
-            distances=distance_matrix(synthetic_population(8, 16, 2)),
-        )
+        # On this instance both runs accept swaps, moves and toggles.
+        instance = supply_bound_instance()
         report = solve_heuristic(instance, HeuristicConfig(seed=0))
         assert report.iterations == 14
         assert report.plan.y.T.tolist() == [
