@@ -9,8 +9,9 @@ patterns and delegate quantity placement to a flow subproblem:
                         quantities exist inside all bounds, returning
                         either the quantities or a certificate cut
     solve_exact         depth-first enumeration of per-store subsets,
-                        pruned by a completion bound that knows which
-                        articles' supply has run out; optimal
+                        listed once with numpy, pruned by a completion
+                        bound that prices each article's supply limit
+                        (Lagrangian relaxation); optimal
     solve_heuristic     greedy construction, certificate-guided repair,
                         then first-improvement local search
 
@@ -347,40 +348,107 @@ def _usable_articles(instance: DistributionInstance, t: int) -> list[int]:
     ]
 
 
-def _store_candidates(
-    instance: DistributionInstance, t: int, deadline: float | None = None
-) -> list[tuple[tuple[int, ...], float]]:
-    """All admissible style subsets for one store with their varieties.
+# Subsets per listing chunk, which bounds the scoring's working memory
+# (12-subsets: 20k x 12 x 12 doubles, 23 MB).
+_CHUNK_ROWS = 20_000
+# Subgradient steps of the supply pricing.
+_PRICE_STEPS = 300
+# Candidate rows the exact search converts to Python at once; it often
+# reads only a store's first few.
+_BLOCK_ROWS = 1024
 
-    Admissible means: at least two styles, the forced minimum shipments
-    fit under the store's upper band, and the combined per-pair caps can
-    still cover its lower band. Raises BudgetExceededError once the
-    ``time.perf_counter`` value ``deadline`` has passed.
+
+def _store_candidates(
+    instance: DistributionInstance, deadline: float | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each store's admissible style subsets as (varieties, article bitmasks), best first.
+
+    Admissible means: at least two styles, each with min_qty within the
+    store's cap, the forced minimum shipments fit under the store's upper
+    band, and the combined per-pair caps can still cover its lower band.
+    Variety ties keep size-then-lexicographic order. One listing, scored
+    in numpy chunks, serves every store: a store with a larger desired
+    quantity has a larger cap and bands, so its subsets include every
+    other store's. Raises BudgetExceededError once
+    the ``time.perf_counter`` value ``deadline`` has passed, and
+    InfeasibleError for a store without admissible subsets.
     """
-    usable = _usable_articles(instance, t)
-    lb, ub = instance.lower_band(t), instance.upper_band(t)
-    cap_t = instance.big_m(t)
-    mins = instance.min_quantities()
-    planned = instance.planned_totals()
-    # Subsets larger than the count of smallest minimums that fit under
-    # the upper band would all fail the forced-minimum test below.
-    max_size = int(np.count_nonzero(np.cumsum(np.sort(mins[usable])) <= ub))
-    out: list[tuple[tuple[int, ...], float]] = []
-    for size in range(2, max_size + 1):
-        for combo in itertools.combinations(usable, size):
+    n, s = instance.n_articles, instance.n_stores
+    mins, planned = instance.min_quantities(), instance.planned_totals()
+    caps = [instance.big_m(t) for t in range(s)]
+    lowers = [instance.lower_band(t) for t in range(s)]
+    uppers = [instance.upper_band(t) for t in range(s)]
+    # An article whose min_qty exceeds a store's cap weighs more than the
+    # store's upper band, so no subset that holds it passes the weight test.
+    weights = [np.where(mins <= cap, mins, upper + 1) for cap, upper in zip(caps, uppers)]
+    covers = [np.minimum(planned, cap) for cap in caps]
+    bit = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 64 else object)
+    listed = [i for i in range(n) if mins[i] <= max(caps, default=0)]  # usable in some store
+    # Subsets larger than the count of smallest weights that fit under the
+    # upper band would all fail a store's weight test below.
+    max_size = max(
+        (np.count_nonzero(np.cumsum(np.sort(w)) <= u) for w, u in zip(weights, uppers)), default=0
+    )
+    parts = [[(np.empty(0), np.empty(0, bit.dtype))] for _ in range(s)]
+    for k in range(2, max_size + 1):
+        combos = itertools.combinations(listed, k)
+        for _ in range(0, math.comb(len(listed), k), _CHUNK_ROWS):
             if deadline is not None and time.perf_counter() > deadline:
-                raise BudgetExceededError(
-                    "time budget ran out while listing the style subsets of "
-                    f"store {instance.stores[t].id!r}"
-                )
-            idx = np.asarray(combo, dtype=np.intp)
-            if int(mins[idx].sum()) > ub:
-                continue
-            if int(np.minimum(planned[idx], cap_t).sum()) < lb:
-                continue
-            value = variety(VarietyMeasure.MAX_MEAN, idx, instance.distances)
-            out.append((combo, value))
+                raise BudgetExceededError("time budget ran out while listing style subsets")
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, _CHUNK_ROWS))
+            c = np.fromiter(chunk, dtype=np.intp).reshape(-1, k)
+            values = instance.distances.entries[c[:, :, None], c[:, None, :]].sum((1, 2)) / 2 / k
+            for t in range(s):
+                keep = weights[t][c].sum(axis=1) <= uppers[t]
+                keep &= covers[t][c].sum(axis=1) >= lowers[t]
+                parts[t].append((values[keep], bit[c[keep]].sum(axis=1)))
+    out = []
+    for t, part in enumerate(parts):
+        values, masks = map(np.concatenate, zip(*part))
+        if not values.size:
+            raise InfeasibleError(f"store {instance.stores[t].id!r} has no admissible style subset")
+        order = np.argsort(-values, kind="stable")
+        out.append((values[order], masks[order]))
     return out
+
+
+def _supply_prices(
+    instance: DistributionInstance, candidates, deadline: float | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Prices lam >= 0 on the articles' count limits, and per store each subset's lam . 1_S.
+
+    Article i serves at most c_i = floor(planned_i / min_qty_i) stores, so
+    every feasible pattern scores at most L(lam) = sum_t max_S (v(S) -
+    lam . 1_S) + lam . c (Lagrangian relaxation; Fisher, Manage. Sci.
+    1981). Projected subgradient steps over all stores' subsets at once
+    keep the lam with the lowest L; the run is deterministic and stops
+    at the deadline. lam is 0 when no limit is below the store count.
+    """
+    n = instance.n_articles
+    limits = instance.planned_totals() // instance.min_quantities()
+    if np.all(limits >= instance.n_stores):
+        return np.zeros(n), [np.zeros(len(values)) for values, _ in candidates]
+    sizes = [len(values) for values, _ in candidates]
+    starts = np.cumsum([0, *sizes[:-1]])
+    values = np.concatenate([values for values, _ in candidates])
+    masks = np.concatenate([masks for _, masks in candidates])
+    members = (masks[:, None] >> np.arange(n) & 1).astype(float)
+    lam = best_lam = np.zeros(n)
+    step, best = values.max() / 4, math.inf
+    for k in range(_PRICE_STEPS):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        priced = values - members @ lam
+        top = np.maximum.reduceat(priced, starts)
+        bound = top.sum() + lam @ limits
+        if bound < best:
+            best, best_lam = bound, lam
+        hits = np.flatnonzero(priced == np.repeat(top, sizes))
+        g = limits - members[hits[np.searchsorted(hits, starts)]].sum(axis=0)
+        if not g.any():
+            break
+        lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(g @ g) * g)
+    return best_lam, np.split(members @ best_lam, starts[1:])
 
 
 # Largest n_articles * n_stores for which auto mode and the baseline
@@ -398,22 +466,26 @@ def solve_exact(
     trying each store's subsets best-first (descending variety). The
     supply state is a bitmask of the articles whose remaining planned
     total is below their min_qty; subsets holding one are skipped. The
-    memoized bound ``suffix(t, blocked)`` sums each later store's best
-    subset avoiding the mask, which only grows with depth, so it bounds
-    every completion. A store's remaining subsets are cut once the bound
-    falls below the incumbent, and a subset is skipped when the bound
-    under the articles it would block does. Neither prunes a pattern the
-    last store's incumbent test would pass (up to rounding: the bound
-    adds the same values in another order), so the same patterns reach
-    the flow check in the same order. Among objective ties (within
-    1e-12) the plan with the lexicographically smallest row-major y
-    wins, so the result does not depend on the visiting order.
+    memoized ``suffix(t, blocked)`` sums over the later stores their
+    best value, and their best value net of the ``_supply_prices`` lam,
+    among the subsets avoiding the mask, which only grows with depth.
+    Every completion is bounded by the smaller of the plain sum and the
+    priced sum plus the credit sum_i lam_i floor(remaining_i / min_qty_i).
+    A store's remaining subsets are cut once the bound falls below the
+    incumbent, and a subset is skipped when the bound under the articles
+    it would block does. Neither prunes a pattern the last store's
+    incumbent test would pass (the priced sum gets a rounding slack of
+    1e-9 of the root bound; at the last store the plain sum is exact),
+    so the same patterns reach the flow check in the same order. Among
+    objective ties (within 1e-12) the plan with the lexicographically
+    smallest row-major y wins, so the result does not depend on the
+    visiting order.
 
-    ``limits.time_budget`` is checked while listing candidate subsets
-    and on entry to every search node; ``limits.max_patterns`` caps
-    the flow-checked patterns. A budget that runs out after the search
-    found a feasible plan returns that plan with status
-    FEASIBLE_HEURISTIC.
+    ``limits.time_budget`` is checked while listing candidate subsets,
+    between pricing steps and on entry to every search node;
+    ``limits.max_patterns`` caps the flow-checked patterns. A budget
+    that runs out after the search found a feasible plan returns that
+    plan with status FEASIBLE_HEURISTIC.
 
     Raises:
         ValidationError: Invalid instance.
@@ -427,39 +499,54 @@ def solve_exact(
     deadline = None if limits.time_budget is None else started + limits.time_budget
     n, s = instance.n_articles, instance.n_stores
 
-    candidates = []
-    for t in range(s):
-        options = _store_candidates(instance, t, deadline)
-        if not options:
-            raise InfeasibleError(
-                f"store {instance.stores[t].id!r} has no admissible style subset"
-            )
-        options.sort(key=lambda option: -option[1])
-        candidates.append([(combo, value, sum(1 << i for i in combo)) for combo, value in options])
+    candidates = _store_candidates(instance, deadline)
+    lam, costs = _supply_prices(instance, candidates, deadline)
+    priced = [values - cost for (values, _), cost in zip(candidates, costs)]
+    converted: list[list[tuple[float, float, int]]] = [[] for _ in range(s)]
+
+    def rows(t: int):
+        """Store t's (value, cost, mask) rows, best first. The search often
+        reads only a few, so they are made Python a block at a time."""
+        done = converted[t]
+        return done if len(done) == len(costs[t]) else itertools.chain(done, unmade(t))
+
+    def unmade(t: int):
+        done, (values, masks) = converted[t], candidates[t]
+        for lo in range(len(done), len(values), _BLOCK_ROWS):
+            part = slice(lo, lo + _BLOCK_ROWS)
+            block = list(zip(values[part].tolist(), costs[t][part].tolist(), masks[part].tolist()))
+            done.extend(block)
+            yield from block
 
     mins = [int(v) for v in instance.min_quantities()]
     remaining = [int(v) for v in instance.planned_totals()]
-    bounds: dict[tuple[int, int], float] = {}
+    bounds: dict[tuple[int, int], tuple[float, float]] = {}
 
-    def suffix(t: int, blocked: int) -> float:
-        """Sum over stores u >= t of u's best subset avoiding ``blocked``."""
+    def suffix(t: int, blocked: int) -> tuple[float, float]:
+        """Over stores u >= t, the sums of u's best value and of its best
+        priced value among the subsets avoiding ``blocked``."""
         if t == s:
-            return 0.0
+            return 0.0, 0.0
         key = (t, blocked)
         if key not in bounds:
-            best = next((v for _, v, mask in candidates[t] if not mask & blocked), -math.inf)
-            bounds[key] = suffix(t + 1, blocked) + best
+            values, masks = candidates[t]
+            free = (masks & blocked) == 0
+            first = int(free.argmax())
+            plain, cheap = suffix(t + 1, blocked) if free[first] else (-math.inf, -math.inf)
+            best_priced = np.max(priced[t], where=free, initial=-math.inf)
+            bounds[key] = (plain + float(values[first]), cheap + float(best_priced))
         return bounds[key]
 
     best_value = -math.inf
     best_key: bytes | None = None
     best_x: np.ndarray | None = None
     checked = 0
-    chosen: list[tuple[int, ...]] = []
+    chosen: list[list[int]] = []
     out_of_budget = False
     last_certificate = None
+    slack = 1e-9 * abs(suffix(0, 0)[0])  # values are >= 0, so this is >= 1e-9 * |best|
 
-    def dfs(t: int, partial: float, blocked: int, tight: int) -> None:
+    def dfs(t: int, partial: float, blocked: int, tight: int, credit: float) -> None:
         nonlocal best_value, best_key, best_x, checked
         nonlocal out_of_budget, last_certificate
         if deadline is not None and time.perf_counter() > deadline:
@@ -485,22 +572,26 @@ def solve_exact(
                 best_key = key
                 best_x = result.x
             return
-        rest = suffix(t + 1, blocked)
-        for combo, value, mask in candidates[t]:
+        plain, cheap = suffix(t + 1, blocked)
+        rest = min(plain, cheap + credit + slack)
+        for value, cost, mask in rows(t):
             if partial + value + rest < best_value - _TIE_TOLERANCE:
                 break
             if mask & blocked:
                 continue
             after = blocked | (mask & tight)
-            if partial + value + suffix(t + 1, after) < best_value - _TIE_TOLERANCE:
+            plain_after, cheap_after = suffix(t + 1, after)
+            bound = min(plain_after, cheap_after + credit - cost + slack)
+            if partial + value + bound < best_value - _TIE_TOLERANCE:
                 continue
+            combo = [i for i in range(n) if mask >> i & 1]
             tighter = tight
             for i in combo:
                 remaining[i] -= mins[i]
                 if remaining[i] < 2 * mins[i]:
                     tighter |= 1 << i
             chosen.append(combo)
-            dfs(t + 1, partial + value, after, tighter)
+            dfs(t + 1, partial + value, after, tighter, credit - cost)
             chosen.pop()
             for i in combo:
                 remaining[i] += mins[i]
@@ -509,7 +600,8 @@ def solve_exact(
 
     # Article bitmasks: blocked articles cannot take one more minimum
     # (validation lets every article take one), tight ones at most one.
-    dfs(0, 0.0, 0, sum(1 << i for i in range(n) if remaining[i] < 2 * mins[i]))
+    tight = sum(1 << i for i in range(n) if remaining[i] < 2 * mins[i])
+    dfs(0, 0.0, 0, tight, float(lam @ (instance.planned_totals() // instance.min_quantities())))
     elapsed = time.perf_counter() - started
 
     if best_x is not None:

@@ -24,6 +24,7 @@ from stylemix.core import (
     Store,
     distance_matrix,
 )
+from stylemix.experiments import synthetic_population
 from stylemix.solver import AssignmentPattern
 from stylemix.variety import VarietyMeasure
 
@@ -122,6 +123,21 @@ def random_feasible_instance(
         big_m_policy=policy,
     )
     return instance, x
+
+
+def recipe_instance(n: int, s: int, seed: int) -> DistributionInstance:
+    """n styles of 40 units (minimum 4) for s stores wanting 12-39 units.
+
+    Each style's supply covers at most ten stores, so it binds for s > 10.
+    """
+    catalog = synthetic_population(n, 16, seed)
+    quantities = np.random.default_rng(seed).integers(12, 40, s)
+    return DistributionInstance(
+        articles=tuple(Article(sid, 40, 4) for sid in catalog.ids),
+        stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(quantities)),
+        alpha=Fraction("0.2"),
+        distances=distance_matrix(catalog, Metric.SQUARED_EUCLIDEAN),
+    )
 
 
 def random_micro_case(seed: int) -> tuple[DistributionInstance, AssignmentPattern]:

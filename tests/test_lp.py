@@ -16,12 +16,10 @@ from stylemix.core import (
     DistanceMatrix,
     DistributionInstance,
     DistributionPlan,
-    Metric,
     Store,
-    distance_matrix,
 )
 from stylemix.errors import ValidationError
-from stylemix.experiments import demo_instance, synthetic_population
+from stylemix.experiments import demo_instance
 from stylemix.lp import (
     build_milp,
     check_assignment,
@@ -31,7 +29,7 @@ from stylemix.lp import (
 )
 from stylemix.solver import plan_from_quantities, solve_exact
 
-from conftest import random_feasible_instance
+from conftest import random_feasible_instance, recipe_instance
 
 
 def tiny_instance() -> DistributionInstance:
@@ -156,18 +154,6 @@ class _CountingSink:
     def write(self, text: str) -> int:
         self.chars += len(text)
         return len(text)
-
-
-def recipe_instance(n: int, s: int, seed: int) -> DistributionInstance:
-    """n styles of 40 units (minimum 4) for s stores wanting 12-39 units."""
-    catalog = synthetic_population(n, 16, seed)
-    quantities = np.random.default_rng(seed).integers(12, 40, s)
-    return DistributionInstance(
-        articles=tuple(Article(sid, 40, 4) for sid in catalog.ids),
-        stores=tuple(Store(f"s{t}", int(q)) for t, q in enumerate(quantities)),
-        alpha=Fraction("0.2"),
-        distances=distance_matrix(catalog, Metric.SQUARED_EUCLIDEAN),
-    )
 
 
 class TestExport:

@@ -47,7 +47,7 @@ from stylemix.solver import (
     solve_exact,
     solve_heuristic,
 )
-from stylemix.variety import VarietyMeasure
+from stylemix.variety import VarietyMeasure, variety
 
 from conftest import (
     brute_variety,
@@ -55,6 +55,7 @@ from conftest import (
     dp_quantity_feasible,
     random_feasible_instance,
     random_micro_case,
+    recipe_instance,
 )
 
 
@@ -256,6 +257,42 @@ def supply_bound_instance() -> DistributionInstance:
     )
 
 
+def listed_subsets(instance: DistributionInstance, t: int) -> list[tuple[tuple[int, ...], float]]:
+    """Store t's admissible style subsets with their varieties, best first.
+
+    The reference loop: every combination of usable styles in size-then-
+    lexicographic order, both knapsack tests and one ``variety`` call per
+    subset, then a stable sort on descending variety.
+    """
+    cap = instance.big_m(t)
+    usable = [i for i, a in enumerate(instance.articles) if a.min_qty <= cap]
+    out = []
+    for size in range(2, len(usable) + 1):
+        for combo in combinations(usable, size):
+            chosen = [instance.articles[i] for i in combo]
+            if sum(a.min_qty for a in chosen) > instance.upper_band(t):
+                continue
+            if sum(min(a.planned_total, cap) for a in chosen) < instance.lower_band(t):
+                continue
+            out.append((combo, variety(VarietyMeasure.MAX_MEAN, combo, instance.distances)))
+    out.sort(key=lambda option: -option[1])
+    return out
+
+
+def priced_root_bound(instance: DistributionInstance) -> tuple[float, np.ndarray]:
+    """L(lam), recomputed with plain loops, at the solver's supply prices lam."""
+    candidates = solver._store_candidates(instance)
+    lam, _ = solver._supply_prices(instance, candidates)
+    n = instance.n_articles
+    total = sum(lam[i] * (a.planned_total // a.min_qty) for i, a in enumerate(instance.articles))
+    for values, masks in candidates:
+        total += max(
+            value - sum(lam[i] for i in range(n) if mask >> i & 1)
+            for value, mask in zip(values.tolist(), masks.tolist())
+        )
+    return total, lam
+
+
 class TestSolveExact:
     def test_line_of_four(self, line_instance):
         report = solve_exact(line_instance)
@@ -285,7 +322,7 @@ class TestSolveExact:
         # Some article cannot serve every store, so the search prunes on
         # the articles whose supply has run out; infeasible instances
         # must raise exactly when brute force finds no feasible pattern.
-        compared = infeasible = 0
+        compared = infeasible = priced = 0
         for seed in range(120):
             instance = adversarial_instance(seed)
             n, s = instance.n_articles, instance.n_stores
@@ -304,7 +341,12 @@ class TestSolveExact:
             report = solve_exact(instance)
             assert report.objective == pytest.approx(expected_value, abs=1e-9), seed
             assert tuple(int(v) for v in report.plan.y.reshape(-1)) == expected_y, seed
+            # The Lagrangian bound holds for any prices, so also for the solver's.
+            bound, lam = priced_root_bound(instance)
+            assert bound >= expected_value - 1e-9, seed
+            priced += lam.any()
         assert infeasible >= 10 and compared - infeasible >= 8
+        assert priced >= 8
 
     def test_supply_binding_optimum_is_pinned(self):
         report = solve_exact(supply_bound_instance())
@@ -317,6 +359,41 @@ class TestSolveExact:
             [0, 0, 1, 1, 0, 1, 1, 0],
             [1, 1, 0, 0, 1, 1, 1, 1],
         ]
+
+    @pytest.mark.parametrize(
+        "n, objective, checks", [(10, 111.4602694725007, 37), (8, 97.74627793598583, 60)]
+    )
+    def test_supply_binding_recipe_is_proven_optimal(self, n, objective, checks):
+        # Twelve stores want styles whose 40 units serve at most ten; the
+        # priced bound proves these optima within the budget.
+        limits = SolveLimits(time_budget=5, max_patterns=None)
+        report = solve_exact(recipe_instance(n, 12, 0), limits)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.objective == objective
+        assert report.iterations == checks
+
+    def test_candidate_arrays_match_the_subset_loop(self):
+        instances = [demo_instance(), recipe_instance(8, 3, 0)]
+        instances += [random_feasible_instance(seed)[0] for seed in range(200)]
+        for instance in instances:
+            for t, (values, masks) in enumerate(solver._store_candidates(instance)):
+                expected = listed_subsets(instance, t)
+                combos = [
+                    tuple(i for i in range(instance.n_articles) if mask >> i & 1)
+                    for mask in masks.tolist()
+                ]
+                assert combos == [combo for combo, _ in expected]
+                assert values.tolist() == pytest.approx([v for _, v in expected], rel=0, abs=1e-12)
+
+    def test_supply_prices_are_nonnegative_repeatable_and_tighten_the_demo(self):
+        for instance in (demo_instance(), supply_bound_instance(), recipe_instance(10, 12, 0)):
+            candidates = solver._store_candidates(instance)
+            lam, _ = solver._supply_prices(instance, candidates)
+            assert lam.any() and np.all(lam >= 0)
+            again, _ = solver._supply_prices(instance, candidates)
+            assert np.array_equal(lam, again)
+        # Without prices the root bound is 1689.319; the optimum is 1593.919.
+        assert 1593.919 < priced_root_bound(demo_instance())[0] < 1594.11
 
     def test_demo_optimum_and_tie_pick(self):
         # The demo has 16 optimal patterns; the smallest row-major y wins.
@@ -366,6 +443,12 @@ class TestSolveExact:
                 candidates.append(tuple(int(v) for v in pattern.y.reshape(-1)))
         assert tuple(int(v) for v in y.reshape(-1)) == min(candidates)
 
+    def test_instance_without_stores_is_an_empty_optimum(self):
+        report = solve_exact(two_article_instance(stores=()))
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.objective == 0.0
+        assert report.plan.x.shape == (2, 0)
+
     def test_store_without_admissible_subset_raises(self):
         # Any two minimums of 3 overfill s0's band of exactly 4 units.
         inst = two_article_instance(
@@ -401,21 +484,13 @@ class TestSolveExact:
             solve_exact(line_instance, limits=SolveLimits(max_patterns=0, time_budget=None))
 
     def test_time_budget_bounds_candidate_listing(self):
-        # One store over 20 articles has about a million subsets to list,
-        # which takes far longer than the budget.
-        catalog = synthetic_population(20, 16, seed=0)
-        inst = DistributionInstance(
-            articles=tuple(Article(f"a{i}", 40, 4) for i in range(20)),
-            stores=(Store("s0", 30),),
-            alpha=Fraction("0.2"),
-            distances=distance_matrix(catalog),
-        )
+        # One store over 24 styles has about 4.5 million subsets to list,
+        # which takes far longer than the budget; auto mode sends this
+        # instance (24 x 1) to the exact solver.
         started = time.perf_counter()
-        try:
-            solve_exact(inst, limits=SolveLimits(time_budget=0.5))
-        except BudgetExceededError:
-            pass
-        assert time.perf_counter() - started < 5.0
+        with pytest.raises(BudgetExceededError):
+            solve_exact(recipe_instance(24, 1, 0), limits=SolveLimits(time_budget=1))
+        assert time.perf_counter() - started < 2.0
 
     def test_time_budget_bounds_the_search(self):
         # The demo catalog over seven stores lists its subsets quickly, but
