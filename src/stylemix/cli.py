@@ -89,6 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     formatted.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
+    measured = argparse.ArgumentParser(add_help=False)
+    measured.add_argument(
+        "--metric",
+        choices=tuple(m.value for m in Metric),
+        default=Metric.SQUARED_EUCLIDEAN.value,
+    )
 
     parser = argparse.ArgumentParser(
         prog="stylemix",
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "distances", parents=[common, formatted], help="pairwise distances from a catalog"
+        "distances", parents=[common, formatted, measured], help="pairwise distances from a catalog"
     )
     p.add_argument("--catalog", type=Path, required=True, help="catalog file")
     p.add_argument(
@@ -105,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csv", "json"),
         default=None,
         help="catalog format (default: by file suffix)",
-    )
-    p.add_argument(
-        "--metric",
-        choices=tuple(m.value for m in Metric),
-        default=Metric.SQUARED_EUCLIDEAN.value,
     )
     p.add_argument(
         "--normalize",
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", type=Path, required=True, help="instance JSON file")
 
     p = sub.add_parser(
-        "experiment", parents=[seeded, common, formatted], help="run a validation study"
+        "experiment", parents=[seeded, common, formatted, measured], help="run a validation study"
     )
     p.add_argument(
         "--kind", choices=("linearity", "counterexamples", "baseline"), required=True
@@ -162,11 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--reps", type=int, default=LinearityConfig.repetitions, help="repetitions per size"
-    )
-    p.add_argument(
-        "--metric",
-        choices=tuple(m.value for m in Metric),
-        default=Metric.SQUARED_EUCLIDEAN.value,
     )
     p.add_argument(
         "--instance",
@@ -344,12 +340,26 @@ def _experiment_baseline(args, seed: int) -> int:
     return EXIT_OK
 
 
+# The options each experiment reads besides --kind. A --population file
+# replaces the synthetic population, whose size and dimension go unread.
+_EXPERIMENT_READS = {
+    "linearity": {"output", "seed", "format", "population_size", "dim", "sizes", "reps", "metric"},
+    "linearity with --population": {"output", "seed", "format", "population", "sizes", "reps", "metric"},
+    "counterexamples": {"output"},
+    "baseline": {"output", "seed", "instance"},
+}
+
+
 def cmd_experiment(args) -> int:
-    # Only linearity reads --format, and counterexamples draws nothing at random.
-    if args.format == "csv" and args.kind != "linearity":
-        raise ValueError(f"--format csv applies only to --kind linearity, not {args.kind}")
-    if args.seed is not None and args.kind == "counterexamples":
-        raise ValueError("--seed does not apply to --kind counterexamples")
+    kind = args.kind
+    if kind == "linearity" and args.population is not None:
+        kind += " with --population"
+    # Only a value away from the parser default counts as given.
+    defaults = vars(build_parser().parse_args(["experiment", "--kind", args.kind]))
+    unread = [d for d, v in vars(args).items() if v != defaults[d] and d not in _EXPERIMENT_READS[kind]]
+    if unread:
+        flags = ", ".join("--" + d.replace("_", "-") for d in unread)
+        raise ValueError(f"--kind {kind} does not read {flags}")
     seed = _resolve_seed(args)
     if args.kind == "linearity":
         return _experiment_linearity(args, seed)

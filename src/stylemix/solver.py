@@ -339,15 +339,6 @@ def evaluate_plan(instance: DistributionInstance, plan: DistributionPlan) -> flo
     return float(sum(_store_varieties(instance, plan.y)))
 
 
-def _usable_articles(instance: DistributionInstance, t: int) -> list[int]:
-    cap_t = instance.big_m(t)
-    return [
-        i
-        for i, article in enumerate(instance.articles)
-        if article.min_qty <= cap_t
-    ]
-
-
 # Subsets per listing chunk, which bounds the scoring's working memory
 # (12-subsets: 20k x 12 x 12 doubles, 23 MB).
 _CHUNK_ROWS = 20_000
@@ -413,20 +404,19 @@ def _store_candidates(
 
 
 def _supply_prices(
-    instance: DistributionInstance, candidates, deadline: float | None = None
+    candidates, counts: np.ndarray, deadline: float | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Prices lam >= 0 on the articles' count limits, and per store each subset's lam . 1_S.
+    """Prices lam >= 0 on the articles' store counts, and per store each subset's lam . 1_S.
 
-    Article i serves at most c_i = floor(planned_i / min_qty_i) stores, so
-    every feasible pattern scores at most L(lam) = sum_t max_S (v(S) -
-    lam . 1_S) + lam . c (Lagrangian relaxation; Fisher, Manage. Sci.
+    Article i serves at most counts[i] = floor(planned_i / min_qty_i) stores,
+    so every feasible pattern scores at most L(lam) = sum_t max_S (v(S) -
+    lam . 1_S) + lam . counts (Lagrangian relaxation; Fisher, Manage. Sci.
     1981). Projected subgradient steps over all stores' subsets at once
     keep the lam with the lowest L; the run is deterministic and stops
-    at the deadline. lam is 0 when no limit is below the store count.
+    at the deadline. lam is 0 when every count covers all stores.
     """
-    n = instance.n_articles
-    limits = instance.planned_totals() // instance.min_quantities()
-    if np.all(limits >= instance.n_stores):
+    n = len(counts)
+    if np.all(counts >= len(candidates)):
         return np.zeros(n), [np.zeros(len(values)) for values, _ in candidates]
     sizes = [len(values) for values, _ in candidates]
     starts = np.cumsum([0, *sizes[:-1]])
@@ -440,11 +430,11 @@ def _supply_prices(
             break
         priced = values - members @ lam
         top = np.maximum.reduceat(priced, starts)
-        bound = top.sum() + lam @ limits
+        bound = top.sum() + lam @ counts
         if bound < best:
             best, best_lam = bound, lam
         hits = np.flatnonzero(priced == np.repeat(top, sizes))
-        g = limits - members[hits[np.searchsorted(hits, starts)]].sum(axis=0)
+        g = counts - members[hits[np.searchsorted(hits, starts)]].sum(axis=0)
         if not g.any():
             break
         lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(g @ g) * g)
@@ -463,14 +453,15 @@ def solve_exact(
     """Enumerate assignment patterns to find the best feasible plan.
 
     Depth-first search assigns each store an admissible style subset,
-    trying each store's subsets best-first (descending variety). The
-    supply state is a bitmask of the articles whose remaining planned
-    total is below their min_qty; subsets holding one are skipped. The
-    memoized ``suffix(t, blocked)`` sums over the later stores their
+    trying each store's subsets best-first (descending variety). Article
+    i can serve floor(planned_i / min_qty_i) stores; the search counts
+    down the stores each article has left, and its supply state is a
+    bitmask of the articles with none left, whose subsets are skipped.
+    The memoized ``suffix(t, blocked)`` sums over the later stores their
     best value, and their best value net of the ``_supply_prices`` lam,
     among the subsets avoiding the mask, which only grows with depth.
     Every completion is bounded by the smaller of the plain sum and the
-    priced sum plus the credit sum_i lam_i floor(remaining_i / min_qty_i).
+    priced sum plus the credit sum_i lam_i (stores left for i).
     A store's remaining subsets are cut once the bound falls below the
     incumbent, and a subset is skipped when the bound under the articles
     it would block does. Neither prunes a pattern the last store's
@@ -499,27 +490,24 @@ def solve_exact(
     deadline = None if limits.time_budget is None else started + limits.time_budget
     n, s = instance.n_articles, instance.n_stores
 
+    counts = instance.planned_totals() // instance.min_quantities()
     candidates = _store_candidates(instance, deadline)
-    lam, costs = _supply_prices(instance, candidates, deadline)
+    lam, costs = _supply_prices(candidates, counts, deadline)
     priced = [values - cost for (values, _), cost in zip(candidates, costs)]
     converted: list[list[tuple[float, float, int]]] = [[] for _ in range(s)]
 
     def rows(t: int):
         """Store t's (value, cost, mask) rows, best first. The search often
         reads only a few, so they are made Python a block at a time."""
-        done = converted[t]
-        return done if len(done) == len(costs[t]) else itertools.chain(done, unmade(t))
-
-    def unmade(t: int):
         done, (values, masks) = converted[t], candidates[t]
+        yield from done
         for lo in range(len(done), len(values), _BLOCK_ROWS):
             part = slice(lo, lo + _BLOCK_ROWS)
             block = list(zip(values[part].tolist(), costs[t][part].tolist(), masks[part].tolist()))
             done.extend(block)
             yield from block
 
-    mins = [int(v) for v in instance.min_quantities()]
-    remaining = [int(v) for v in instance.planned_totals()]
+    left = counts.tolist()
     bounds: dict[tuple[int, int], tuple[float, float]] = {}
 
     def suffix(t: int, blocked: int) -> tuple[float, float]:
@@ -587,21 +575,21 @@ def solve_exact(
             combo = [i for i in range(n) if mask >> i & 1]
             tighter = tight
             for i in combo:
-                remaining[i] -= mins[i]
-                if remaining[i] < 2 * mins[i]:
+                left[i] -= 1
+                if left[i] < 2:
                     tighter |= 1 << i
             chosen.append(combo)
             dfs(t + 1, partial + value, after, tighter, credit - cost)
             chosen.pop()
             for i in combo:
-                remaining[i] += mins[i]
+                left[i] += 1
             if out_of_budget:
                 return
 
-    # Article bitmasks: blocked articles cannot take one more minimum
-    # (validation lets every article take one), tight ones at most one.
-    tight = sum(1 << i for i in range(n) if remaining[i] < 2 * mins[i])
-    dfs(0, 0.0, 0, tight, float(lam @ (instance.planned_totals() // instance.min_quantities())))
+    # Article bitmasks: blocked articles have no store left (validation
+    # gives every article at least one), tight ones at most one.
+    tight = sum(1 << i for i in range(n) if left[i] < 2)
+    dfs(0, 0.0, 0, tight, float(lam @ counts))
     elapsed = time.perf_counter() - started
 
     if best_x is not None:
@@ -632,8 +620,8 @@ class _SearchState:
         self.s = instance.n_stores
         self.mins = instance.min_quantities().tolist()
         self.planned = instance.planned_totals().tolist()
+        self.caps = [instance.big_m(t) for t in range(self.s)]
         self.upper = [instance.upper_band(t) for t in range(self.s)]
-        self.usable = [set(_usable_articles(instance, t)) for t in range(self.s)]
         self.sets: list[set[int]] = [set() for _ in range(self.s)]
         self.pair_sums = [0.0] * self.s
         self.forced = [0] * self.s
@@ -678,8 +666,9 @@ class _SearchState:
         return (total / k if k >= 2 else 0.0) - self.store_value(t)
 
     def fits(self, t: int, add: int, drop: int | None = None) -> bool:
-        """Whether usable ``add`` fits under t's upper band in place of ``drop``."""
-        if add in self.sets[t] or add not in self.usable[t]:
+        """Whether ``add`` may join store t in place of ``drop``: its min_qty within
+        t's cap (the flow check's test), t's forced minimums within its upper band."""
+        if add in self.sets[t] or self.mins[add] > self.caps[t]:
             return False
         released = 0 if drop is None else self.mins[drop]
         return self.forced[t] + self.mins[add] - released <= self.upper[t]
@@ -695,18 +684,17 @@ class _SearchState:
 def _gain_chooser(state: _SearchState, priority, gain_driven: bool = True):
     """Chooser for _construct and _repair.
 
-    It names the addable article with the best MAX_MEAN gain, earliest
-    in ``priority`` among ties, or the first addable one in ``priority``
-    when not ``gain_driven``.
+    It names the addable article with the best MAX_MEAN gain, or the
+    first addable one when not ``gain_driven``. Ties go to the earliest
+    in ``priority``: ``max`` returns the first of equal gains.
     """
-    rank = {i: pos for pos, i in enumerate(priority)}
 
     def choose(t: int) -> int | None:
         addable = [i for i in priority if state.can_add(t, i)]
         if not addable:
             return None
         if gain_driven:
-            return max(addable, key=lambda i: (state.gain(t, add=i), -rank[i]))
+            return max(addable, key=lambda i: state.gain(t, add=i))
         return addable[0]
 
     return choose
@@ -833,7 +821,7 @@ def _scan_move(state: _SearchState):
 def _scan_toggle(state: _SearchState):
     """A store takes one more style, or gives up one of more than two."""
     for t in range(state.s):
-        for i in sorted(state.usable[t] - state.sets[t]):
+        for i in range(state.n):
             if not state.can_add(t, i):
                 continue
             delta = state.gain(t, add=i)

@@ -703,11 +703,33 @@ def test_flag_a_command_ignores_is_rejected(argv, capsys):
         (["--kind", "counterexamples", "--format", "csv"], "--format"),
         (["--kind", "baseline", "--format", "csv"], "--format"),
         (["--kind", "counterexamples", "--seed", "3"], "--seed"),
+        (["--kind", "counterexamples", "--reps", "5"], "--reps"),
+        (["--kind", "counterexamples", "--instance", "x.json"], "--instance"),
+        (["--kind", "baseline", "--sizes", "2..3"], "--sizes"),
+        (["--kind", "baseline", "--metric", "euclidean"], "--metric"),
+        (["--kind", "linearity", "--instance", "x.json"], "--instance"),
+        (
+            ["--kind", "linearity", "--population", "CATALOG", "--sizes", "2..3", "--reps", "10",
+             "--dim", "7", "--population-size", "99"],
+            "--population-size, --dim",
+        ),
     ],
-    ids=["counterexamples-format", "baseline-format", "counterexamples-seed"],
+    ids=[
+        "counterexamples-format",
+        "baseline-format",
+        "counterexamples-seed",
+        "counterexamples-reps",
+        "counterexamples-instance",
+        "baseline-sizes",
+        "baseline-metric",
+        "linearity-instance",
+        "linearity-population-file-size-and-dim",
+    ],
 )
-def test_flag_an_experiment_kind_ignores_is_rejected(argv, flag, capsys):
-    # Only linearity reads --format; counterexamples reads no --seed.
+def test_flag_an_experiment_kind_ignores_is_rejected(argv, flag, catalog_path, capsys):
+    # Only linearity reads --format; counterexamples reads no --seed. A
+    # --population file replaces the synthetic population's size and dim.
+    argv = [str(catalog_path) if arg == "CATALOG" else arg for arg in argv]
     assert main(["experiment", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,9 @@
 """Source hygiene: every module uses each name it imports and has each
-name it exports."""
+name it exports, and every private module-level name has a user."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,42 @@ def test_all_names_exist(path):
     module = importlib.import_module(f"stylemix.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == [], f"{path.name} lists names it lacks in __all__: {missing}"
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported under ``node``."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_private_names_are_referenced_elsewhere():
+    # A helper whose last caller was deleted stays importable and unnoticed.
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    everywhere = sum((_references(tree) for tree in trees), Counter())
+    unused = [
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        if everywhere[name] - _references(node)[name] <= 0
+    ]
+    assert unused == [], f"private names nothing else in src/ refers to: {unused}"

@@ -282,9 +282,10 @@ def listed_subsets(instance: DistributionInstance, t: int) -> list[tuple[tuple[i
 def priced_root_bound(instance: DistributionInstance) -> tuple[float, np.ndarray]:
     """L(lam), recomputed with plain loops, at the solver's supply prices lam."""
     candidates = solver._store_candidates(instance)
-    lam, _ = solver._supply_prices(instance, candidates)
+    counts = [a.planned_total // a.min_qty for a in instance.articles]
+    lam, _ = solver._supply_prices(candidates, np.array(counts))
     n = instance.n_articles
-    total = sum(lam[i] * (a.planned_total // a.min_qty) for i, a in enumerate(instance.articles))
+    total = sum(lam[i] * counts[i] for i in range(n))
     for values, masks in candidates:
         total += max(
             value - sum(lam[i] for i in range(n) if mask >> i & 1)
@@ -388,9 +389,10 @@ class TestSolveExact:
     def test_supply_prices_are_nonnegative_repeatable_and_tighten_the_demo(self):
         for instance in (demo_instance(), supply_bound_instance(), recipe_instance(10, 12, 0)):
             candidates = solver._store_candidates(instance)
-            lam, _ = solver._supply_prices(instance, candidates)
+            counts = instance.planned_totals() // instance.min_quantities()
+            lam, _ = solver._supply_prices(candidates, counts)
             assert lam.any() and np.all(lam >= 0)
-            again, _ = solver._supply_prices(instance, candidates)
+            again, _ = solver._supply_prices(candidates, counts)
             assert np.array_equal(lam, again)
         # Without prices the root bound is 1689.319; the optimum is 1593.919.
         assert 1593.919 < priced_root_bound(demo_instance())[0] < 1594.11
