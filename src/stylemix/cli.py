@@ -53,11 +53,11 @@ from .experiments import (
 )
 from .lp import export_lp
 from .solver import (
-    EXACT_SIZE_LIMIT,
     HeuristicConfig,
     SolveLimits,
     SolveReport,
     SolveStatus,
+    auto_mode,
     solve_exact,
     solve_heuristic,
 )
@@ -251,10 +251,7 @@ def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     limits = SolveLimits(max_patterns=args.max_patterns, time_budget=args.time_budget)
     config = HeuristicConfig(seed=seed, max_iters=args.max_iters, restarts=args.restarts)
-    mode = args.mode
-    if mode == "auto":
-        size = instance.n_articles * instance.n_stores
-        mode = "exact" if size <= EXACT_SIZE_LIMIT else "heuristic"
+    mode = auto_mode(instance) if args.mode == "auto" else args.mode
     infeasible = None
     try:
         if mode == "exact":

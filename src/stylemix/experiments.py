@@ -31,12 +31,12 @@ from .core import (
 )
 from .errors import InfeasibleError, PopulationTooSmallError, VerificationError
 from .solver import (
-    EXACT_SIZE_LIMIT,
     HeuristicConfig,
     SolveReport,
     _construct,
     _repair,
     _SearchState,
+    auto_mode,
     improve_plan,
     plan_from_quantities,
     solve_exact,
@@ -472,8 +472,8 @@ def compare_against_baseline(
 ) -> BaselineComparison:
     """Run the variety-blind baseline and an optimizer on one instance.
 
-    The exact solver is used when n_articles * n_stores is at most
-    EXACT_SIZE_LIMIT, the heuristic otherwise. If the heuristic somehow
+    The optimizer is the one ``solver.auto_mode`` picks, also reported as
+    the comparison's ``optimizer`` label. If the heuristic somehow
     lands below the baseline, local search restarts from the baseline
     plan so the optimized objective never trails it.
 
@@ -481,13 +481,11 @@ def compare_against_baseline(
         InfeasibleError: Propagated from either allocator.
     """
     base_plan = baseline_allocate(instance)
-    size = instance.n_articles * instance.n_stores
-    if size <= EXACT_SIZE_LIMIT:
+    optimizer = auto_mode(instance)
+    if optimizer == "exact":
         report: SolveReport = solve_exact(instance)
-        optimizer = "exact"
     else:
         report = solve_heuristic(instance, HeuristicConfig(seed=seed))
-        optimizer = "heuristic"
         if report.plan.objective < base_plan.objective:
             polished = improve_plan(instance, base_plan, HeuristicConfig(seed=seed))
             if polished.plan.objective > report.plan.objective:

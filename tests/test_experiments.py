@@ -1,13 +1,15 @@
 """Linearity sweep, counterexample checks, and the baseline comparison."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from stylemix import experiments
 from stylemix.core import DistanceMatrix, Metric, distance_matrix
-from stylemix.errors import PopulationTooSmallError
+from stylemix.errors import PopulationTooSmallError, VerificationError
 from stylemix.experiments import (
     LinearityConfig,
     baseline_allocate,
@@ -19,7 +21,18 @@ from stylemix.experiments import (
     verify_counterexamples,
 )
 from stylemix.core import validate_instance
-from stylemix.solver import EXACT_SIZE_LIMIT, plan_violations, solve_exact
+from stylemix.solver import (
+    EXACT_SIZE_LIMIT,
+    AssignmentPattern,
+    HeuristicConfig,
+    SolveReport,
+    SolveStatus,
+    improve_plan,
+    plan_from_quantities,
+    plan_violations,
+    quantity_feasible,
+    solve_exact,
+)
 from stylemix.variety import VarietyMeasure
 
 from conftest import random_feasible_instance
@@ -147,6 +160,24 @@ class TestCounterexamples:
         assert payload["all_as_expected"] is True
         assert len(payload["checks"]) == 6
 
+    def test_unexpected_verdict_names_measure_and_geometry(self, monkeypatch):
+        original = experiments.check_monotonicity
+
+        def flipped(measure, d, subset, added):
+            result = original(measure, d, subset, added)
+            if measure is VarietyMeasure.MAX_SUM_SUM and d.n == 3:  # the segment
+                return dataclasses.replace(result, held=not result.held)
+            return result
+
+        monkeypatch.setattr(experiments, "check_monotonicity", flipped)
+        with pytest.raises(VerificationError) as info:
+            verify_counterexamples()
+        message = str(info.value)
+        assert message.startswith(
+            "unexpected monotonicity verdicts: max_sum_sum on segment_midpoint:"
+        )
+        assert "triangle" not in message
+
 
 class TestDemoInstance:
     def test_demo_is_valid(self):
@@ -211,6 +242,22 @@ class TestBaseline:
         assert cmp.optimizer == "exact"
         exact = solve_exact(instance)
         assert cmp.optimized_objective == pytest.approx(exact.objective, abs=1e-9)
+
+    def test_heuristic_below_baseline_is_polished_from_the_baseline(self, monkeypatch):
+        # Each store gets one close pair: objective 3.0, against the
+        # baseline's 69.8 on the demo.
+        instance = demo_instance()
+        pairs = AssignmentPattern.from_sets(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}, {4, 5}, {0, 1}])
+        low = plan_from_quantities(instance, quantity_feasible(instance, pairs).x)
+        report = SolveReport(low, SolveStatus.FEASIBLE_HEURISTIC, 0, 0.0)
+        monkeypatch.setattr(experiments, "solve_heuristic", lambda *args: report)
+        cmp = compare_against_baseline(instance, seed=0)
+        base = baseline_allocate(instance)
+        polished = improve_plan(instance, base, HeuristicConfig(seed=0))
+        assert low.objective < base.objective
+        assert cmp.optimizer == "heuristic"
+        assert np.array_equal(cmp.optimized_plan.x, polished.plan.x)
+        assert cmp.optimized_objective >= cmp.baseline_objective
 
     def test_optimizer_never_loses_to_baseline(self):
         for seed in range(62, 70):

@@ -1,5 +1,6 @@
 """Source hygiene: every module uses each name it imports and has each
-name it exports, and every private module-level name has a user."""
+name it exports, each public name has one import path, and every private
+module-level name has a user."""
 
 import ast
 import importlib
@@ -22,14 +23,19 @@ def _imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported_names(tree: ast.Module) -> set[str]:
+    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+            exported |= set(ast.literal_eval(node.value))
+    return exported
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | _exported_names(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -46,6 +52,33 @@ def test_all_names_exist(path):
     module = importlib.import_module(f"stylemix.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == [], f"{path.name} lists names it lacks in __all__: {missing}"
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_each_public_name_has_one_import_path():
+    # A re-export is a second spelling of a name that callers then mix.
+    elsewhere = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = sorted(_exported_names(tree) - _defined_names(tree))
+        if imported:
+            elsewhere[path.stem] = imported
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    package_imports = _imported_names(package)
+    assert not elsewhere and not package_imports, (
+        f"__all__ names defined in another module: {elsewhere}; "
+        f"names __init__.py imports: {package_imports}"
+    )
 
 
 def _references(node: ast.AST) -> Counter:

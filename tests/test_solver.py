@@ -3,7 +3,8 @@
 import contextlib
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +33,9 @@ from stylemix.experiments import (
     demo_instance,
     synthetic_population,
 )
+from stylemix.flow import CutCertificate, EdgeCertificate
 from stylemix.solver import (
     AssignmentPattern,
-    CutCertificate,
-    EdgeCertificate,
     HeuristicConfig,
     SolveLimits,
     SolveStatus,
@@ -112,6 +112,9 @@ class TestQuantityFeasible:
         assert isinstance(cert, EdgeCertificate)
         assert cert.min_qty == 9
         assert cert.cap == 5
+        assert str(cert) == (
+            "article 'a0' at store 's0' requires at least 9 units but is capped at 5"
+        )
 
     def test_demand_driven_certificate_names_short_stores(self):
         # Two stores must each take 10 units of the same two articles,
@@ -150,6 +153,9 @@ class TestQuantityFeasible:
         assert cert.stores == (0,)
         assert cert.required == 12
         assert cert.available == 10
+        assert str(cert) == (
+            "minimum shipments into stores ['s0'] total 12 units, but at most 10 can be absorbed"
+        )
 
     def test_matches_dp_oracle_on_random_micro_cases(self):
         agree_feasible = agree_infeasible = 0
@@ -374,7 +380,16 @@ class TestSolveExact:
         assert report.iterations == checks
 
     def test_candidate_arrays_match_the_subset_loop(self):
-        instances = [demo_instance(), recipe_instance(8, 3, 0)]
+        # The larger store of the last instance admits only the triple,
+        # the smaller one all four subsets: neither store's list holds
+        # the other's.
+        nested = DistributionInstance(
+            articles=tuple(Article(f"a{i}", 9, 4) for i in range(3)),
+            stores=(Store("s0", 24), Store("s1", 10)),
+            alpha=Fraction("0.2"),
+            distances=DistanceMatrix(np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])),
+        )
+        instances = [demo_instance(), recipe_instance(8, 3, 0), nested]
         instances += [random_feasible_instance(seed)[0] for seed in range(200)]
         for instance in instances:
             for t, (values, masks) in enumerate(solver._store_candidates(instance)):
@@ -493,6 +508,13 @@ class TestSolveExact:
         with pytest.raises(BudgetExceededError):
             solve_exact(recipe_instance(24, 1, 0), limits=SolveLimits(time_budget=1))
         assert time.perf_counter() - started < 2.0
+
+    def test_listing_checks_the_deadline_before_sorting(self, monkeypatch):
+        # The demo lists each size in one chunk: the seven chunk checks
+        # read ticks 1-7, the check before the first store's sort reads 8.
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=count(1).__next__))
+        with pytest.raises(BudgetExceededError, match="while listing style subsets"):
+            solver._store_candidates(demo_instance(), deadline=7.5)
 
     def test_time_budget_bounds_the_search(self):
         # The demo catalog over seven stores lists its subsets quickly, but
