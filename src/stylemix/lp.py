@@ -8,8 +8,10 @@ integral y the constraint system pins these products exactly, so the
 linearization is exact, not a relaxation.
 
 Variable naming: x_i_s, y_i_s, r_s, u_i_s, w_i_j_s (i < j), v_s.
-One generator yields the rows; ``build_milp`` collects them and
-``export_lp`` streams them to a text stream one row at a time.
+One generator yields the rows' LP text in blocks (a family, an article,
+a pair or a store at a time): ``export_lp`` writes each block as it comes,
+and ``build_milp`` parses the same blocks back into ``LpRow`` objects, so
+the in-memory model is what the file says.
 Rendering is deterministic: identical instances yield identical bytes.
 """
 
@@ -109,14 +111,116 @@ class MilpModel:
         return sum(coef * values[name] for name, coef in self.objective)
 
 
-def _rows(instance: DistributionInstance) -> Iterator[LpRow]:
-    """Yield every row of the allocation MILP in deterministic order.
+def _fmt(value: float) -> str:
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
-    This is the only source of the model's rows: ``build_milp`` collects
-    them and ``export_lp`` renders each one as it is yielded. The caller
-    validates the instance first.
 
-    Row families, in emission order (n articles, s stores):
+def _coef(value: float) -> str:
+    """A term's '+ coef ' prefix: a magnitude of 1 drops the number."""
+    sign = "- " if value < 0 else "+ "
+    mag = abs(value)
+    return sign if mag == 1 else f"{sign}{_fmt(mag)} "
+
+
+def _body(pieces: list[str], indent: str = "\n    ") -> str:
+    """'+ coef name' pieces, 8 a line, the leading '+ ' trimmed; no terms read '0'."""
+    lines = (" ".join(pieces[k : k + 8]) for k in range(0, len(pieces), 8))
+    return indent.join(lines).removeprefix("+ ") or "0"
+
+
+def _row(name: str, pieces: list[str], sense: str, rhs: float) -> str:
+    return f" {name}: {_body(pieces)} {sense} {_fmt(rhs)}\n"
+
+
+def _subject_to(instance: DistributionInstance) -> Iterator[str]:
+    """Yield the text of the model's rows, a block of whole rows at a time.
+
+    This is the only source of the rows: ``export_lp`` writes the blocks
+    as they come and ``build_milp`` reads them back. Variable names and
+    coefficient pieces are rendered once per article, store or pair, not
+    once per row; rows of a fixed shape are f-strings that follow
+    ``_body``'s rule. The caller validates the instance first.
+    """
+    n, s = instance.n_articles, instance.n_stores
+    x = [[var_x(i, t) for t in range(s)] for i in range(n)]
+    y = [[var_y(i, t) for t in range(s)] for i in range(n)]
+    u = [[var_u(i, t) for t in range(s)] for i in range(n)]
+    r = [var_r(t) for t in range(s)]
+
+    def column_sum(family: str, names: list[list[str]], sense: str, rhs) -> str:
+        return "".join(
+            _row(f"{family}_{t}", [f"+ {names[i][t]}" for i in range(n)], sense, rhs(t))
+            for t in range(s)
+        )
+
+    yield column_sum("store_ub", x, "<=", instance.upper_band)
+    yield column_sum("store_lb", x, ">=", instance.lower_band)
+    yield "".join(
+        _row(f"resource_{i}", [f"+ {name}" for name in x[i]], "<=", article.planned_total)
+        for i, article in enumerate(instance.articles)
+    )
+    for i, article in enumerate(instance.articles):
+        m = _coef(-article.min_qty)
+        yield "".join(f" min_qty_{i}_{t}: {x[i][t]} {m}{y[i][t]} >= 0\n" for t in range(s))
+    caps = [_coef(-instance.big_m(t)) for t in range(s)]
+    for i in range(n):
+        yield "".join(f" cap_{i}_{t}: {x[i][t]} {caps[t]}{y[i][t]} <= 0\n" for t in range(s))
+    yield column_sum("min_styles", y, ">=", lambda t: 2)
+
+    for i in range(n):
+        yield "".join(f" u_lb_{i}_{t}: {u[i][t]} - {r[t]} - {y[i][t]} >= -1\n" for t in range(s))
+    for i in range(n):
+        yield "".join(f" u_le_r_{i}_{t}: {u[i][t]} - {r[t]} <= 0\n" for t in range(s))
+    for i in range(n):
+        yield "".join(f" u_le_y_{i}_{t}: {u[i][t]} - {y[i][t]} <= 0\n" for t in range(s))
+    yield column_sum("u_sum", u, "=", lambda t: 1)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            ijt = [f"{i}_{j}_{t}" for t in range(s)]
+            yield "".join(
+                f" w_lb_{k}: w_{k} - {r_t} - {y_it} - {y_jt} >= -2\n"
+                f" w_le_yi_{k}: w_{k} - {y_it} <= 0\n"
+                f" w_le_yj_{k}: w_{k} - {y_jt} <= 0\n"
+                f" w_le_r_{k}: w_{k} - {r_t} <= 0\n"
+                for k, r_t, y_it, y_jt in zip(ijt, r, y[i], y[j])
+            )
+
+    d = instance.distances.entries.tolist()
+    pairs = [f"{_coef(-d[i][j])}w_{i}_{j}_" for i in range(n) for j in range(i + 1, n)]
+    for t in range(s):
+        yield _row(f"variety_{t}", [f"+ {var_v(t)}"] + [f"{p}{t}" for p in pairs], "=", 0)
+
+
+def _parse_row(line: str) -> LpRow:
+    """Read one row's text back: each term is a sign, a coefficient unless 1, a name."""
+    name, _, rest = line[1:].partition(": ")
+    *tokens, sense, rhs = rest.split()
+    terms: list[tuple[str, float]] = []
+    sign, mag = 1.0, 1.0
+    for token in tokens:
+        if token in ("+", "-"):
+            sign = -1.0 if token == "-" else 1.0
+        elif token[0].isdigit():
+            mag = float(token)
+        else:
+            terms.append((token, sign * mag))
+            sign, mag = 1.0, 1.0
+    return LpRow(name, tuple(terms), sense, float(rhs))
+
+
+def _grid(var, n: int, s: int) -> tuple[str, ...]:
+    """``var(i, t)`` for every article i and store t, article by article."""
+    return tuple(var(i, t) for i in range(n) for t in range(s))
+
+
+def build_milp(instance: DistributionInstance) -> MilpModel:
+    """Read the whole allocation MILP back from the rows ``export_lp`` writes.
+
+    The rows are parsed from the same text blocks the export streams, so
+    the in-memory model is what the file says. Row families, in emission
+    order (n articles, s stores):
         store_ub_s, store_lb_s         store quantity bands      (2s rows)
         resource_i                     per-article supply        (n rows)
         min_qty_i_s, cap_i_s           shipment/indicator link   (2ns rows)
@@ -126,145 +230,35 @@ def _rows(instance: DistributionInstance) -> Iterator[LpRow]:
                                        (4s * n(n-1)/2 rows)
         variety_s                      v_s definition            (s rows)
     """
-    n, s = instance.n_articles, instance.n_stores
-    d = instance.distances.entries
-
-    for t in range(s):
-        terms = tuple((var_x(i, t), 1.0) for i in range(n))
-        yield LpRow(f"store_ub_{t}", terms, "<=", float(instance.upper_band(t)))
-    for t in range(s):
-        terms = tuple((var_x(i, t), 1.0) for i in range(n))
-        yield LpRow(f"store_lb_{t}", terms, ">=", float(instance.lower_band(t)))
-    for i in range(n):
-        terms = tuple((var_x(i, t), 1.0) for t in range(s))
-        yield LpRow(f"resource_{i}", terms, "<=", float(instance.articles[i].planned_total))
-    for i in range(n):
-        for t in range(s):
-            m_i = float(instance.articles[i].min_qty)
-            yield LpRow(
-                f"min_qty_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -m_i)), ">=", 0.0
-            )
-    for i in range(n):
-        for t in range(s):
-            cap_t = float(instance.big_m(t))
-            yield LpRow(
-                f"cap_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -cap_t)), "<=", 0.0
-            )
-    for t in range(s):
-        terms = tuple((var_y(i, t), 1.0) for i in range(n))
-        yield LpRow(f"min_styles_{t}", terms, ">=", 2.0)
-
-    for i in range(n):
-        for t in range(s):
-            yield LpRow(
-                f"u_lb_{i}_{t}",
-                ((var_u(i, t), 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0)),
-                ">=",
-                -1.0,
-            )
-    for i in range(n):
-        for t in range(s):
-            yield LpRow(f"u_le_r_{i}_{t}", ((var_u(i, t), 1.0), (var_r(t), -1.0)), "<=", 0.0)
-    for i in range(n):
-        for t in range(s):
-            yield LpRow(f"u_le_y_{i}_{t}", ((var_u(i, t), 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
-    for t in range(s):
-        terms = tuple((var_u(i, t), 1.0) for i in range(n))
-        yield LpRow(f"u_sum_{t}", terms, "=", 1.0)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in range(s):
-                w = var_w(i, j, t)
-                yield LpRow(
-                    f"w_lb_{i}_{j}_{t}",
-                    ((w, 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0), (var_y(j, t), -1.0)),
-                    ">=",
-                    -2.0,
-                )
-                yield LpRow(f"w_le_yi_{i}_{j}_{t}", ((w, 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
-                yield LpRow(f"w_le_yj_{i}_{j}_{t}", ((w, 1.0), (var_y(j, t), -1.0)), "<=", 0.0)
-                yield LpRow(f"w_le_r_{i}_{j}_{t}", ((w, 1.0), (var_r(t), -1.0)), "<=", 0.0)
-
-    for t in range(s):
-        terms: list[tuple[str, float]] = [(var_v(t), 1.0)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                terms.append((var_w(i, j, t), -float(d[i, j])))
-        yield LpRow(f"variety_{t}", tuple(terms), "=", 0.0)
-
-
-def _objective(s: int) -> tuple[tuple[str, float], ...]:
-    return tuple((var_v(t), 1.0) for t in range(s))
-
-
-def _generals(n: int, s: int) -> tuple[str, ...]:
-    return tuple(var_x(i, t) for i in range(n) for t in range(s))
-
-
-def _binaries(n: int, s: int) -> tuple[str, ...]:
-    return tuple(var_y(i, t) for i in range(n) for t in range(s))
-
-
-def build_milp(instance: DistributionInstance) -> MilpModel:
-    """Assemble the whole allocation MILP in memory, rows in ``_rows`` order."""
     ensure_valid(instance)
     n, s = instance.n_articles, instance.n_stores
-    continuous = (
-        tuple(var_r(t) for t in range(s))
-        + tuple(var_u(i, t) for i in range(n) for t in range(s))
-        + tuple(
-            var_w(i, j, t)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for t in range(s)
-        )
-        + tuple(var_v(t) for t in range(s))
+    rows = tuple(
+        _parse_row(line)
+        for block in _subject_to(instance)
+        for line in block.replace("\n    ", " ").splitlines()
     )
-    return MilpModel(
-        _objective(s), tuple(_rows(instance)), _generals(n, s), _binaries(n, s), continuous
-    )
-
-
-def _fmt(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _render_terms(terms: tuple[tuple[str, float], ...]) -> list[str]:
-    """Render '+ coef name' pieces, several per line, leading sign trimmed."""
-    pieces: list[str] = []
-    for name, coef in terms:
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        if mag == 1:
-            pieces.append(f"{sign} {name}")
-        else:
-            pieces.append(f"{sign} {_fmt(mag)} {name}")
-    if pieces and pieces[0].startswith("+ "):
-        pieces[0] = pieces[0][2:]
-    lines: list[str] = []
-    for start in range(0, len(pieces), 8):
-        lines.append(" ".join(pieces[start : start + 8]))
-    return lines or ["0"]
+    w = tuple(var_w(i, j, t) for i in range(n) for j in range(i + 1, n) for t in range(s))
+    r, v = tuple(map(var_r, range(s))), tuple(map(var_v, range(s)))
+    continuous = r + _grid(var_u, n, s) + w + v
+    objective = tuple((name, 1.0) for name in v)
+    return MilpModel(objective, rows, _grid(var_x, n, s), _grid(var_y, n, s), continuous)
 
 
 def export_lp(instance: DistributionInstance, out: TextIO) -> None:
     """Write the full MILP to ``out`` in LP text format (deterministic bytes).
 
-    Each row is rendered and written as ``_rows`` yields it, so neither
-    the model nor its text is ever held whole. The instance is validated
-    before the first write.
+    The rows are written a block at a time as ``_subject_to`` yields
+    them, so neither the model nor its text is ever held whole. The
+    instance is validated before the first write.
     """
     ensure_valid(instance)
     n, s = instance.n_articles, instance.n_stores
-    out.write("Maximize\n obj: " + "\n      ".join(_render_terms(_objective(s))) + "\n")
+    objective = _body([f"+ {var_v(t)}" for t in range(s)], "\n      ")
+    out.write(f"Maximize\n obj: {objective}\n")
     out.write("Subject To\n")
-    for row in _rows(instance):
-        body = "\n    ".join(_render_terms(row.terms))
-        out.write(f" {row.name}: {body} {row.sense} {_fmt(row.rhs)}\n")
-    for header, names in (("Generals", _generals(n, s)), ("Binaries", _binaries(n, s))):
+    for block in _subject_to(instance):
+        out.write(block)
+    for header, names in (("Generals", _grid(var_x, n, s)), ("Binaries", _grid(var_y, n, s))):
         out.write(header + "\n")
         for start in range(0, len(names), 8):
             out.write(" " + " ".join(names[start : start + 8]) + "\n")

@@ -140,6 +140,24 @@ def recipe_instance(n: int, s: int, seed: int) -> DistributionInstance:
     )
 
 
+def adversarial_instance(seed: int) -> DistributionInstance:
+    """Large minimums, small stores and wide bands, under either cap policy."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(31,)))
+    n = int(rng.integers(2, 8))
+    s = int(rng.integers(1, 5))
+    mins = rng.integers(1, 11, size=n)
+    planned = mins + rng.integers(0, 30, size=n)
+    desired = rng.integers(1, 31, size=s)
+    points = rng.random(n)
+    return DistributionInstance(
+        articles=tuple(Article(f"a{i}", int(planned[i]), int(mins[i])) for i in range(n)),
+        stores=tuple(Store(f"s{t}", int(desired[t])) for t in range(s)),
+        alpha=Fraction(str(rng.choice(["0", "0.1", "0.2", "0.5", "0.9"]))),
+        distances=DistanceMatrix(np.abs(np.subtract.outer(points, points))),
+        big_m_policy=list(BigMPolicy)[int(rng.integers(2))],
+    )
+
+
 def random_micro_case(seed: int) -> tuple[DistributionInstance, AssignmentPattern]:
     """Small instance and pattern pair; feasibility is not arranged."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

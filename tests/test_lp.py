@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -17,19 +18,31 @@ from stylemix.core import (
     DistributionInstance,
     DistributionPlan,
     Store,
+    validate_instance,
 )
 from stylemix.errors import ValidationError
 from stylemix.experiments import demo_instance
 from stylemix.lp import (
+    LpRow,
     build_milp,
     check_assignment,
     export_lp,
     linearization_witness,
+    var_r,
+    var_u,
+    var_v,
     var_w,
+    var_x,
+    var_y,
 )
 from stylemix.solver import plan_from_quantities, solve_exact
 
-from conftest import random_feasible_instance, recipe_instance
+from conftest import (
+    adversarial_instance,
+    random_feasible_instance,
+    random_micro_case,
+    recipe_instance,
+)
 
 
 def tiny_instance() -> DistributionInstance:
@@ -52,6 +65,96 @@ def expected_variable_counts(n: int, s: int) -> tuple[int, int, int]:
     binaries = n * s
     continuous = s + n * s + s * pairs + s
     return generals, binaries, continuous
+
+
+def oracle_rows(instance: DistributionInstance):
+    """Every row of the MILP built one ``LpRow`` at a time, in export order.
+
+    The reference for the block renderer in ``stylemix.lp``: each family
+    is written out as the row-by-row loop it replaced.
+    """
+    n, s = instance.n_articles, instance.n_stores
+    d = instance.distances.entries
+    for t in range(s):
+        terms = tuple((var_x(i, t), 1.0) for i in range(n))
+        yield LpRow(f"store_ub_{t}", terms, "<=", float(instance.upper_band(t)))
+    for t in range(s):
+        terms = tuple((var_x(i, t), 1.0) for i in range(n))
+        yield LpRow(f"store_lb_{t}", terms, ">=", float(instance.lower_band(t)))
+    for i in range(n):
+        terms = tuple((var_x(i, t), 1.0) for t in range(s))
+        yield LpRow(f"resource_{i}", terms, "<=", float(instance.articles[i].planned_total))
+    for i in range(n):
+        for t in range(s):
+            m_i = float(instance.articles[i].min_qty)
+            yield LpRow(f"min_qty_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -m_i)), ">=", 0.0)
+    for i in range(n):
+        for t in range(s):
+            cap_t = float(instance.big_m(t))
+            yield LpRow(f"cap_{i}_{t}", ((var_x(i, t), 1.0), (var_y(i, t), -cap_t)), "<=", 0.0)
+    for t in range(s):
+        yield LpRow(f"min_styles_{t}", tuple((var_y(i, t), 1.0) for i in range(n)), ">=", 2.0)
+    for i in range(n):
+        for t in range(s):
+            terms = ((var_u(i, t), 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0))
+            yield LpRow(f"u_lb_{i}_{t}", terms, ">=", -1.0)
+    for i in range(n):
+        for t in range(s):
+            yield LpRow(f"u_le_r_{i}_{t}", ((var_u(i, t), 1.0), (var_r(t), -1.0)), "<=", 0.0)
+    for i in range(n):
+        for t in range(s):
+            yield LpRow(f"u_le_y_{i}_{t}", ((var_u(i, t), 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
+    for t in range(s):
+        yield LpRow(f"u_sum_{t}", tuple((var_u(i, t), 1.0) for i in range(n)), "=", 1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for t in range(s):
+                w = var_w(i, j, t)
+                terms = ((w, 1.0), (var_r(t), -1.0), (var_y(i, t), -1.0), (var_y(j, t), -1.0))
+                yield LpRow(f"w_lb_{i}_{j}_{t}", terms, ">=", -2.0)
+                yield LpRow(f"w_le_yi_{i}_{j}_{t}", ((w, 1.0), (var_y(i, t), -1.0)), "<=", 0.0)
+                yield LpRow(f"w_le_yj_{i}_{j}_{t}", ((w, 1.0), (var_y(j, t), -1.0)), "<=", 0.0)
+                yield LpRow(f"w_le_r_{i}_{j}_{t}", ((w, 1.0), (var_r(t), -1.0)), "<=", 0.0)
+    for t in range(s):
+        terms = [(var_v(t), 1.0)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                terms.append((var_w(i, j, t), -float(d[i, j])))
+        yield LpRow(f"variety_{t}", tuple(terms), "=", 0.0)
+
+
+def oracle_fmt(value: float) -> str:
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def oracle_render_terms(terms) -> list[str]:
+    """Render '+ coef name' pieces, 8 per line, leading sign trimmed."""
+    pieces = []
+    for name, coef in terms:
+        sign = "-" if coef < 0 else "+"
+        mag = abs(coef)
+        pieces.append(f"{sign} {name}" if mag == 1 else f"{sign} {oracle_fmt(mag)} {name}")
+    if pieces and pieces[0].startswith("+ "):
+        pieces[0] = pieces[0][2:]
+    return [" ".join(pieces[k : k + 8]) for k in range(0, len(pieces), 8)] or ["0"]
+
+
+def oracle_export(instance: DistributionInstance) -> str:
+    """The LP text rendered from ``oracle_rows`` one row at a time."""
+    n, s = instance.n_articles, instance.n_stores
+    objective = tuple((var_v(t), 1.0) for t in range(s))
+    parts = ["Maximize\n obj: " + "\n      ".join(oracle_render_terms(objective)) + "\n"]
+    parts.append("Subject To\n")
+    for row in oracle_rows(instance):
+        body = "\n    ".join(oracle_render_terms(row.terms))
+        parts.append(f" {row.name}: {body} {row.sense} {oracle_fmt(row.rhs)}\n")
+    for header, var in (("Generals", var_x), ("Binaries", var_y)):
+        names = [var(i, t) for i in range(n) for t in range(s)]
+        parts.append(header + "\n")
+        parts += [" " + " ".join(names[k : k + 8]) + "\n" for k in range(0, len(names), 8)]
+    return "".join(parts) + "End\n"
 
 
 class TestModelShape:
@@ -210,7 +313,7 @@ class TestExport:
 
     def test_export_streams_rows(self):
         # Holding the rows or the text would take several times the output
-        # length; streaming holds one row at a time.
+        # length; streaming holds one block of rows at a time.
         instance = recipe_instance(30, 15, 0)
         sink = _CountingSink()
         tracemalloc.start()
@@ -228,6 +331,48 @@ class TestExport:
         with pytest.raises(ValidationError):
             export_lp(instance, sink)
         assert sink.chars == 0
+
+
+def edge_instance() -> DistributionInstance:
+    """Unit minimums, a unit cap, and zero, fractional and 1e20 distances."""
+    d = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 1e20], [0.1, 1e20, 0.0]])
+    return DistributionInstance(
+        articles=tuple(Article(f"a{i}", 9, 1) for i in range(3)),
+        stores=(Store("s0", 1), Store("s1", 5)),
+        alpha=Fraction("0.2"),
+        distances=DistanceMatrix(d),
+    )
+
+
+class TestOracle:
+    """The block renderer must equal the row-by-row oracle, text and rows."""
+
+    def test_edge_coefficients(self):
+        instance = edge_instance()
+        text = export_text(instance)
+        assert " cap_0_0: x_0_0 - y_0_0 <= 0\n" in text
+        assert (
+            " variety_0: v_0 + 0 w_0_1_0 - 0.1 w_0_2_0 - 100000000000000000000 w_1_2_0 = 0\n"
+            in text
+        )
+        variety_0 = next(row for row in build_milp(instance).rows if row.name == "variety_0")
+        # The zero distance reads back from '+ 0' as 0.0, where the
+        # row-by-row model held -0.0; the two compare equal.
+        assert variety_0.terms == (
+            ("v_0", 1.0), ("w_0_1_0", 0.0), ("w_0_2_0", -0.1), ("w_1_2_0", -1e20)
+        )
+        assert math.copysign(1.0, variety_0.terms[1][1]) == 1.0
+
+    def test_text_and_rows_match_the_oracle(self):
+        adversarial = [adversarial_instance(seed) for seed in range(120)]
+        instances = [demo_instance(), edge_instance()]
+        instances += [random_feasible_instance(seed)[0] for seed in range(200)]
+        instances += [random_micro_case(seed)[0] for seed in range(200)]
+        instances += [instance for instance in adversarial if not validate_instance(instance)]
+        assert len(instances) == 522
+        for instance in instances:
+            assert export_text(instance) == oracle_export(instance)
+            assert build_milp(instance).rows == tuple(oracle_rows(instance))
 
 
 def highs_optimum(instance: DistributionInstance) -> float:

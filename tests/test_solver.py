@@ -50,6 +50,7 @@ from stylemix.solver import (
 from stylemix.variety import VarietyMeasure, variety
 
 from conftest import (
+    adversarial_instance,
     brute_variety,
     cut_totals,
     dp_quantity_feasible,
@@ -544,24 +545,6 @@ class TestSolveExact:
         assert report.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE_HEURISTIC)
         assert report.plan is not None
         assert plan_violations(line_instance, report.plan) == []
-
-
-def adversarial_instance(seed: int) -> DistributionInstance:
-    """Large minimums, small stores and wide bands, under either cap policy."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(31,)))
-    n = int(rng.integers(2, 8))
-    s = int(rng.integers(1, 5))
-    mins = rng.integers(1, 11, size=n)
-    planned = mins + rng.integers(0, 30, size=n)
-    desired = rng.integers(1, 31, size=s)
-    points = rng.random(n)
-    return DistributionInstance(
-        articles=tuple(Article(f"a{i}", int(planned[i]), int(mins[i])) for i in range(n)),
-        stores=tuple(Store(f"s{t}", int(desired[t])) for t in range(s)),
-        alpha=Fraction(str(rng.choice(["0", "0.1", "0.2", "0.5", "0.9"]))),
-        distances=DistanceMatrix(np.abs(np.subtract.outer(points, points))),
-        big_m_policy=list(BigMPolicy)[int(rng.integers(2))],
-    )
 
 
 class TestSolveHeuristic:
