@@ -284,12 +284,12 @@ def _experiment_linearity(args, seed: int) -> int:
         population = read_catalog_file(args.population)
     else:
         population = synthetic_population(args.population_size, args.dim, seed)
+    sizes = _parse_sizes(args.sizes, population.n)
     config = LinearityConfig(
-        population=population,
-        subset_sizes=_parse_sizes(args.sizes, population.n),
+        population=distance_matrix(population, Metric.from_name(args.metric)),
+        subset_sizes=sizes,
         repetitions=args.reps,
         seed=seed,
-        metric=Metric.from_name(args.metric),
     )
     report = run_linearity(config)
     if args.output is None:

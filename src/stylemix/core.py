@@ -148,6 +148,23 @@ def _as_int(value, *, field_name: str) -> int:
     return value
 
 
+def _floats(values: list, message: str, *context) -> list[float]:
+    """Catalog cells or distance entries as floats, each read through its text.
+
+    Booleans, null and arrays do not parse, and an int beyond float range
+    reads as inf (rejected later as non-finite) instead of overflowing. The
+    first value that is not a number raises ``MalformedInputError(message %
+    (*context, value))``.
+    """
+    floats = []
+    for value in values:
+        try:
+            floats.append(float(str(value)))
+        except ValueError as exc:
+            raise MalformedInputError(message % (*context, value)) from exc
+    return floats
+
+
 def _as_id(value, *, record: str) -> str:
     if not isinstance(value, str) or not value:
         raise MalformedInputError(f"{record}: id must be a non-empty string")
@@ -239,17 +256,7 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
     vectors: list[list[float]] = []
     dim: int | None = None
     for sid, raw_vector in rows:
-        values: list[float] = []
-        for cell in raw_vector:
-            # Text, not float(cell): an int beyond float range parses to
-            # inf, which FeatureCatalog rejects, instead of overflowing.
-            try:
-                value = float(str(cell).strip())
-            except ValueError as exc:
-                raise MalformedInputError(
-                    f"row {sid!r}: cannot parse vector entry {cell!r}"
-                ) from exc
-            values.append(value)
+        values = _floats(raw_vector, "row %r: cannot parse vector entry %r", sid)
         if not values:
             raise MalformedInputError(f"row {sid!r} has no vector entries")
         if dim is None:
@@ -623,15 +630,11 @@ def _parse_distances_block(block, articles: tuple, base_dir: Path | None) -> Dis
         raw = block["entries"]
         if not isinstance(raw, list):
             raise MalformedInputError("'distances.entries' must be an array")
-        flat: list[float] = []
-        for item in raw:
-            for value in item if isinstance(item, list) else [item]:
-                try:
-                    flat.append(float(value))
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise MalformedInputError(
-                        f"'distances.entries' holds {value!r}, not a number"
-                    ) from exc
+        if raw and all(isinstance(row, list) for row in raw):
+            if len(raw) != n or any(len(row) != n for row in raw):
+                raise MalformedInputError(f"'distances.entries' must be {n} rows of {n} numbers")
+            raw = [value for row in raw for value in row]
+        flat = _floats(raw, "'distances.entries' holds %r, not a number")
         return DistanceMatrix.from_flat(n, flat)
     if "catalog_ref" in block:
         ref = block["catalog_ref"]
@@ -678,9 +681,9 @@ def _records(payload: dict, key: str, record: str, cls, int_fields: tuple[str, .
 def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> DistributionInstance:
     """Parse an instance from JSON text.
 
-    The tolerance ``alpha`` is captured as an exact decimal Fraction
-    straight from the JSON text so that quantity band bounds round
-    correctly. ``base_dir`` anchors any relative ``catalog_ref`` path.
+    Floats stay JSON text, so ``DistributionInstance`` reads ``alpha``, last,
+    as the exact decimal the file wrote. ``distances.entries`` holds n*n
+    numbers or n rows of n; ``base_dir`` anchors a relative ``catalog_ref``.
 
     Raises:
         MalformedInputError: On structural problems. Semantic violations
@@ -695,7 +698,6 @@ def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> Distr
     for key in ("alpha", "articles", "stores", "distances"):
         if key not in payload:
             raise MalformedInputError(f"instance JSON missing {key!r}")
-    alpha = _as_exact_fraction(payload["alpha"])
     policy = BigMPolicy.from_name(payload.get("big_m_policy", BigMPolicy.STORE_QTY.value))
     articles = _records(payload, "articles", "article", Article, ("planned_total", "min_qty"))
     stores = _records(payload, "stores", "store", Store, ("desired_qty",))
@@ -704,7 +706,7 @@ def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> Distr
     return DistributionInstance(
         articles=articles,
         stores=stores,
-        alpha=alpha,
+        alpha=payload["alpha"],
         distances=distances,
         big_m_policy=policy,
     )

@@ -82,15 +82,14 @@ def synthetic_population(size: int, dim: int = 16, seed: int = 0) -> FeatureCata
 class LinearityConfig:
     """Settings for the subset-size sweep.
 
-    population may be a FeatureCatalog (distances derived with
-    ``metric``) or a ready DistanceMatrix.
+    population holds the distances between the styles subsets are drawn
+    from, e.g. ``distance_matrix(catalog, metric)``.
     """
 
-    population: FeatureCatalog | DistanceMatrix
+    population: DistanceMatrix
     subset_sizes: tuple[int, ...] = tuple(range(2, 21))
     repetitions: int = 1000
     seed: int = 0
-    metric: Metric = Metric.SQUARED_EUCLIDEAN
 
     def __post_init__(self):
         object.__setattr__(self, "subset_sizes", tuple(int(k) for k in self.subset_sizes))
@@ -193,10 +192,7 @@ def run_linearity(config: LinearityConfig) -> ExperimentReport:
     # scipy.stats costs about half of importing the CLI, and only this uses it.
     from scipy.stats import spearmanr
 
-    if isinstance(config.population, FeatureCatalog):
-        d = distance_matrix(config.population, config.metric)
-    else:
-        d = config.population
+    d = config.population
     n = d.n
     if max(config.subset_sizes) > n:
         raise PopulationTooSmallError(

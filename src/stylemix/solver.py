@@ -26,8 +26,8 @@ yields improving moves of one shape, (delta, drops, adds) with drops
 and adds tuples of (store, article) pairs; a move is undone by applying
 it with drops and adds exchanged.
 
-All objective comparisons use a 1e-9 absolute tolerance; quantity
-arithmetic is exact integer.
+Objective comparisons use a 1e-9 tolerance, 1e-12 in the exact search's
+pruning and tie rule; quantity arithmetic is exact integer.
 """
 
 from __future__ import annotations
@@ -622,7 +622,7 @@ class _SearchState:
 
     def __init__(self, instance: DistributionInstance):
         self.instance = instance
-        self.d = instance.distances.entries
+        self.d = instance.distances.entries.tolist()
         self.n = instance.n_articles
         self.s = instance.n_stores
         self.mins = instance.min_quantities().tolist()
@@ -639,8 +639,9 @@ class _SearchState:
         return self.pair_sums[t] / k if k >= 2 else 0.0
 
     def links(self, t: int, i: int, skip: int | None = None) -> float:
-        """Sum of d[i, j] over the members j of store t other than i and skip."""
-        return float(sum(self.d[i, j] for j in self.sets[t] if j != i and j != skip))
+        """Sum of d[i][j] over the members j of store t other than i and skip."""
+        row = self.d[i]
+        return float(sum(row[j] for j in self.sets[t] if j != i and j != skip))
 
     def add(self, t: int, i: int) -> None:
         self.pair_sums[t] += self.links(t, i)

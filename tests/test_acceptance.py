@@ -117,7 +117,7 @@ def test_variety_growth_profiles():
     with criterion(3, desc, budget_s=60.0):
         population = synthetic_population(35, 16, 0)
         config = LinearityConfig(
-            population=population,
+            population=distance_matrix(population),
             subset_sizes=tuple(range(2, 21)),
             repetitions=1000,
             seed=0,

@@ -302,6 +302,38 @@ class TestSolve:
                 for records, record in (("articles", "article 1"), ("stores", "store 1"))
                 for value in ({"a": 1}, [1], None, 7, "")
             ),
+            # The line instance's d[0, 1] is 1, so reading True as 1.0 would solve.
+            pytest.param(
+                ("distances", "entries", 1),
+                True,
+                "'distances.entries' holds True, not a number",
+                id="bool-entry",
+            ),
+            pytest.param(
+                ("distances", "entries", 1),
+                10**400,
+                "distance matrix has non-finite entries",
+                id="huge-int-entry",
+            ),
+            pytest.param(
+                ("distances", "entries", 1),
+                [1],
+                "'distances.entries' holds [1], not a number",
+                id="mixed-entries",
+            ),
+            # The line instance's rows regrouped: the same 16 numbers, row-major.
+            pytest.param(
+                ("distances", "entries"),
+                [[0, 1], [4, 9, 1, 0, 1, 4], [4, 1, 0, 1], [9, 4, 1, 0]],
+                "'distances.entries' must be 4 rows of 4 numbers",
+                id="ragged-entries",
+            ),
+            pytest.param(
+                ("distances",),
+                {"catalog_ref": 7},
+                "'distances.catalog_ref' must be a path string",
+                id="catalog-ref",
+            ),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, path, value, field):
@@ -499,6 +531,16 @@ class TestExperiment:
         payload = json.loads(capsys.readouterr().out)
         assert payload["optimized_objective"] > payload["baseline_objective"]
         assert payload["improvement_pct"] > 0
+
+    def test_baseline_file_prints_summary(self, tmp_path, capsys):
+        out = tmp_path / "baseline.json"
+        assert main(["experiment", "--kind", "baseline", "--seed", "0", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert capsys.readouterr().out == (
+            f"baseline={payload['baseline_objective']:.4f} "
+            f"optimized={payload['optimized_objective']:.4f} "
+            f"improvement={payload['improvement_pct']:.2f}% (heuristic)\n"
+        )
 
     def test_baseline_infeasible_instance_exits_3(self, infeasible_path, capsys):
         code = main(["experiment", "--kind", "baseline", "--instance", str(infeasible_path)])

@@ -67,6 +67,27 @@ class TestFeatureCatalog:
         with pytest.raises(NonFiniteValueError):
             FeatureCatalog(("a",), np.array([[np.nan]]))
 
+    @pytest.mark.parametrize(
+        "text, format, message",
+        [
+            ('{"id": "a", "vector": [1]}', "json", "catalog JSON must be an array of objects"),
+            ('[{"id": "a"}]', "json", "record 0: expected an object with 'id' and 'vector'"),
+            ('[{"vector": [1]}]', "json", "record 0: expected an object with 'id' and 'vector'"),
+            ('[{"id": "a", "vector": 1}]', "json", "record 'a': vector must be an array"),
+            ('[{"id": "a", "vector": [1, true]}]', "json", "row 'a': cannot parse vector entry True"),
+            ('[{"id": "a", "vector": [null]}]', "json", "row 'a': cannot parse vector entry None"),
+            ('[{"id": "a", "vector": [[1]]}]', "json", "row 'a': cannot parse vector entry [1]"),
+            ("[{", "json", "invalid JSON"),
+            ("a,1.0\n", "yaml", "unknown catalog format 'yaml'"),
+            ("a,1.0\n ,2.0\n", "csv", "line 2: empty style id"),
+            ("a,1.0\nb\n", "csv", "row 'b' has no vector entries"),
+        ],
+    )
+    def test_malformed_catalog_rejected(self, text, format, message):
+        with pytest.raises(MalformedInputError) as exc:
+            load_catalog(text, format)
+        assert str(exc.value).startswith(message)
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(MalformedInputError):
             load_catalog("", format="csv")
@@ -154,6 +175,20 @@ class TestDistanceMatrix:
     def test_rejects_negative(self):
         with pytest.raises(MalformedInputError):
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            ([[0.0, 1.0]], DimensionMismatchError),
+            ([0.0, 1.0], DimensionMismatchError),
+            ([[0.0, np.inf], [np.inf, 0.0]], NonFiniteValueError),
+            ([[0.0, np.nan], [np.nan, 0.0]], NonFiniteValueError),
+        ],
+        ids=["non-square", "one-dimensional", "inf", "nan"],
+    )
+    def test_rejects_bad_shape_or_non_finite(self, entries, error):
+        with pytest.raises(error):
+            DistanceMatrix(np.array(entries))
 
     def test_flat_round_trip(self):
         d = DistanceMatrix(np.array([[0.0, 2.5], [2.5, 0.0]]))
@@ -361,6 +396,20 @@ class TestInstanceIO:
     def test_invalid_json_rejected(self):
         with pytest.raises(MalformedInputError):
             load_instance("{not json")
+
+    def test_non_object_rejected(self):
+        with pytest.raises(MalformedInputError, match="instance JSON must be an object"):
+            load_instance(json.dumps([self.demo_doc()]))
+
+    def test_alpha_is_read_after_the_records(self):
+        doc = self.demo_doc()
+        doc["alpha"] = "fast"
+        doc["articles"][0]["planned_total"] = 2.5
+        with pytest.raises(MalformedInputError, match="planned_total"):
+            load_instance(json.dumps(doc))
+        doc["articles"][0]["planned_total"] = 16
+        with pytest.raises(MalformedInputError, match="not a number: 'fast'"):
+            load_instance(json.dumps(doc))
 
     def test_quantity_beyond_32_bits_rejected(self):
         doc = self.demo_doc()

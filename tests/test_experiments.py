@@ -58,7 +58,7 @@ class TestRunLinearity:
     def small_report(self, seed=0):
         pop = synthetic_population(10, dim=4, seed=2)
         config = LinearityConfig(
-            population=pop,
+            population=distance_matrix(pop),
             subset_sizes=tuple(range(2, 7)),
             repetitions=60,
             seed=seed,
@@ -81,11 +81,11 @@ class TestRunLinearity:
         # Random 2-subsets score d/2 under MAX_MEAN, so the sweep mean
         # must approximate half the average pairwise distance.
         pop = synthetic_population(12, dim=3, seed=7)
-        d = distance_matrix(pop, Metric.SQUARED_EUCLIDEAN).entries
-        n = d.shape[0]
-        expected = d.sum() / (n * (n - 1)) / 2.0
+        d = distance_matrix(pop, Metric.SQUARED_EUCLIDEAN)
+        n = d.n
+        expected = d.entries.sum() / (n * (n - 1)) / 2.0
         config = LinearityConfig(
-            population=pop, subset_sizes=(2,), repetitions=4000, seed=1
+            population=d, subset_sizes=(2,), repetitions=4000, seed=1
         )
         curve = run_linearity(config).curve(VarietyMeasure.MAX_MEAN)
         se = curve.stds[0] / math.sqrt(4000)
@@ -94,7 +94,20 @@ class TestRunLinearity:
     def test_population_too_small(self):
         pop = synthetic_population(4, dim=2, seed=0)
         with pytest.raises(PopulationTooSmallError):
-            run_linearity(LinearityConfig(population=pop, subset_sizes=(5,)))
+            run_linearity(LinearityConfig(population=distance_matrix(pop), subset_sizes=(5,)))
+
+    @pytest.mark.parametrize(
+        "sizes, reps, message",
+        [
+            ((), 10, "subset_sizes must be non-empty"),
+            ((0, 2), 10, "subset sizes must be at least 1"),
+            ((2,), 0, "repetitions must be at least 1"),
+        ],
+    )
+    def test_invalid_config_rejected(self, sizes, reps, message):
+        d = distance_matrix(synthetic_population(4, dim=2, seed=0))
+        with pytest.raises(ValueError, match=message):
+            LinearityConfig(population=d, subset_sizes=sizes, repetitions=reps)
 
     def test_accepts_distance_matrix_input(self):
         pop = synthetic_population(8, dim=2, seed=3)

@@ -21,6 +21,7 @@ from stylemix.core import (
 )
 from stylemix.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     InfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
@@ -94,6 +95,10 @@ class TestQuantityFeasible:
         assert result.feasible
         assert result.x.sum(axis=0).tolist() == [5, 5]
         assert np.all(result.x >= 1)
+
+    def test_pattern_of_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="pattern is 2x1 but the instance"):
+            quantity_feasible(two_article_instance(), AssignmentPattern.from_sets(2, [{0, 1}]))
 
     def test_respects_planned_totals(self):
         inst = two_article_instance(
@@ -704,6 +709,10 @@ class TestPlanChecks:
         assert "store_band" in codes
         with pytest.raises(InfeasiblePlanError):
             evaluate_plan(inst, plan)
+
+    def test_store_without_styles_scores_zero(self):
+        plan = plan_from_quantities(two_article_instance(), np.array([[3, 0], [2, 0]]))
+        assert plan.per_store_variety == (1.0, 0.0)
 
     def test_evaluate_plan_returns_objective(self):
         inst = two_article_instance()

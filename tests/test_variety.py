@@ -146,6 +146,11 @@ class TestMarginalGain:
         with pytest.raises(SubsetIndexError):
             check_monotonicity(VarietyMeasure.MAX_MEAN, FROZEN_D, (0, 1), 1)
 
+    @pytest.mark.parametrize("added", [-1, 4])
+    def test_gain_rejects_index_outside_matrix(self, added):
+        with pytest.raises(SubsetIndexError, match=rf"index {added} outside \[0, 4\)"):
+            check_monotonicity(VarietyMeasure.MAX_MEAN, FROZEN_D, (0, 1), added)
+
 
 class TestMonotonicity:
     def test_max_mean_holds_under_euclidean(self):
