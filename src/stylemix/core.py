@@ -114,8 +114,9 @@ def _as_exact_fraction(value) -> Fraction:
     """Convert a parsed JSON number (or Python scalar) to an exact Fraction.
 
     Strings are treated as decimal literals, so ``"0.2"`` becomes exactly
-    1/5 rather than the nearest binary float. Floats go through their
-    shortest repr, which preserves the decimal the user wrote.
+    1/5 rather than the nearest binary float; digit separators (``"0.2_5"``)
+    are not numbers. Floats go through their shortest repr, which preserves
+    the decimal the user wrote.
     """
     if isinstance(value, bool):
         raise MalformedInputError("expected a number, got a boolean")
@@ -129,6 +130,8 @@ def _as_exact_fraction(value) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, str):
         try:
+            if "_" in value:  # Fraction() accepts digit separators
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"not a number: {value!r}") from exc
@@ -151,14 +154,16 @@ def _as_int(value, *, field_name: str) -> int:
 def _floats(values: list, message: str, *context) -> list[float]:
     """Catalog cells or distance entries as floats, each read through its text.
 
-    Booleans, null and arrays do not parse, and an int beyond float range
-    reads as inf (rejected later as non-finite) instead of overflowing. The
-    first value that is not a number raises ``MalformedInputError(message %
-    (*context, value))``.
+    Booleans, null, arrays and text with digit separators (``"1_000"``) do
+    not parse, and an int beyond float range reads as inf (rejected later
+    as non-finite) instead of overflowing. The first value that is not a
+    number raises ``MalformedInputError(message % (*context, value))``.
     """
     floats = []
     for value in values:
         try:
+            if isinstance(value, str) and "_" in value:  # float() accepts digit separators
+                raise ValueError(value)
             floats.append(float(str(value)))
         except ValueError as exc:
             raise MalformedInputError(message % (*context, value)) from exc
@@ -627,6 +632,8 @@ def _parse_distances_block(block, articles: tuple, base_dir: Path | None) -> Dis
         raise MalformedInputError("'distances' must be an object")
     if "entries" in block:
         n = _as_int(block.get("n", len(articles)), field_name="distances.n")
+        if n < 0:
+            raise MalformedInputError(f"distances.n must be at least 0, got {n}")
         raw = block["entries"]
         if not isinstance(raw, list):
             raise MalformedInputError("'distances.entries' must be an array")

@@ -23,7 +23,14 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .core import DistributionInstance
 
-__all__ = ["CutCertificate", "EdgeCertificate", "QuantityResult", "feasible_circulation"]
+__all__ = [
+    "CutCertificate",
+    "EdgeCertificate",
+    "QuantityResult",
+    "feasible_circulation",
+    "quantity_bounds",
+    "split_feasible",
+]
 
 # scipy's maximum_flow stores capacities as 32-bit integers.
 _MAX_CAPACITY = 2**31 - 1
@@ -90,6 +97,43 @@ class QuantityResult:
     certificate: CutCertificate | EdgeCertificate | None = None
 
 
+def quantity_bounds(instance: DistributionInstance) -> tuple[np.ndarray, ...]:
+    """Article minimums and planned totals, then store caps, lower and upper bands (int64)."""
+    stores = range(instance.n_stores)
+    bands = (instance.big_m, instance.lower_band, instance.upper_band)
+    return (
+        instance.min_quantities(),
+        instance.planned_totals(),
+        *(np.array([band(t) for t in stores], dtype=np.int64) for band in bands),
+    )
+
+
+def split_feasible(y: np.ndarray, bounds: tuple[np.ndarray, ...]) -> bool:
+    """Whether an even split of each article's spare units proves ``y`` feasible.
+
+    A sufficient test, not a necessary one, on the ``quantity_bounds`` of
+    a valid instance. Article i's spare is planned_i - min_i * deg_i over
+    its deg_i assigned stores, and each assigned pair's share is
+    min(cap_t - min_i, spare_i // deg_i). True means every share is at
+    least 0 (so no spare is negative and no minimum exceeds its cap),
+    every store's forced total F_t = sum_i min_i y_it is at most its
+    upper band, and F_t plus the store's shares reaches its lower band.
+    Then shipping each pair its minimum plus its share, and trimming
+    each store's shares down to a total of max(F_t, lower_t), gives
+    valid integer quantities.
+    """
+    mins, planned, caps, lowers, uppers = bounds
+    deg = y.sum(axis=1)
+    even = (planned - mins * deg) // np.maximum(deg, 1)
+    share = np.minimum(caps - mins[:, None], even[:, None])
+    forced = mins @ y
+    return bool(
+        np.all((share >= 0) | (y == 0))
+        and np.all(forced <= uppers)
+        and np.all(forced + (share * y).sum(axis=0) >= lowers)
+    )
+
+
 def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> QuantityResult:
     """Find integer quantities for the pattern ``y`` or a certificate cut.
 
@@ -104,9 +148,7 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
             invalid store band, or capacities above 2**31 - 1 after capping.
     """
     n, s = y.shape
-    planned = [article.planned_total for article in instance.articles]
-    min_qty = [article.min_qty for article in instance.articles]
-    cap = [instance.big_m(t) for t in range(s)]
+    min_qty, planned, cap, lower, upper = (bound.tolist() for bound in quantity_bounds(instance))
     pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]
     for i, t in pairs:
         if min_qty[i] > cap[t]:
@@ -114,8 +156,6 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
                 i, t, min_qty[i], cap[t], instance.articles[i].id, instance.stores[t].id
             )
             return QuantityResult(False, certificate=edge)
-    lower = [instance.lower_band(t) for t in range(s)]
-    upper = [instance.upper_band(t) for t in range(s)]
     for i, article in enumerate(instance.articles):
         if planned[i] < 0 or (min_qty[i] < 0 and y[i].any()):
             raise ValueError(f"article {article.id!r} has a negative planned_total or min_qty")

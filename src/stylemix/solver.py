@@ -55,7 +55,7 @@ from .errors import (
     TooFewStylesError,
     Violation,
 )
-from .flow import QuantityResult, feasible_circulation
+from .flow import QuantityResult, feasible_circulation, quantity_bounds, split_feasible
 from .variety import VarietyMeasure, variety
 
 __all__ = [
@@ -133,8 +133,8 @@ class SolveStatus(Enum):
 class SolveLimits:
     """Budgets for the exact solver.
 
-    max_patterns bounds the number of complete patterns submitted to the
-    flow check; time_budget (seconds) bounds wall time. Either may be
+    max_patterns bounds the number of complete patterns whose quantities
+    are checked; time_budget (seconds) bounds wall time. Either may be
     None for no limit; a negative value, or a NaN time_budget, raises
     ValueError.
     """
@@ -173,7 +173,8 @@ class HeuristicConfig:
 class SolveReport:
     """Solver outcome plus bookkeeping.
 
-    iterations counts flow-checked patterns (exact) or accepted moves
+    iterations counts the patterns whose quantities were checked (exact),
+    whether by the even split or by the flow, or accepted moves
     (heuristic).
     """
 
@@ -364,10 +365,7 @@ def _store_candidates(
     admissible subsets.
     """
     n, s = instance.n_articles, instance.n_stores
-    mins, planned = instance.min_quantities(), instance.planned_totals()
-    caps = [instance.big_m(t) for t in range(s)]
-    lowers = [instance.lower_band(t) for t in range(s)]
-    uppers = [instance.upper_band(t) for t in range(s)]
+    mins, planned, caps, lowers, uppers = quantity_bounds(instance)
     # An article whose min_qty exceeds a store's cap weighs more than the
     # store's upper band, so no subset that holds it passes the weight test.
     weights = [np.where(mins <= cap, mins, upper + 1) for cap, upper in zip(caps, uppers)]
@@ -474,14 +472,21 @@ def solve_exact(
     it would block does. Neither prunes a pattern the last store's
     incumbent test would pass (the priced sum gets a rounding slack of
     1e-9 of the root bound; at the last store the plain sum is exact),
-    so the same patterns reach the flow check in the same order. Among
-    objective ties (within 1e-12) the plan with the lexicographically
-    smallest row-major y wins, so the result does not depend on the
-    visiting order.
+    so the same patterns reach the quantity check in the same order.
+    Among objective ties (within 1e-12) the plan with the
+    lexicographically smallest row-major y wins, so the result does not
+    depend on the visiting order.
+
+    Each complete pattern's quantities are checked once. An even split
+    of each article's spare units (``flow.split_feasible``, on bounds
+    read once per solve) proves most feasible patterns at once; the rest
+    go to ``quantity_feasible``, and the last failure's cut certificate
+    is the one an InfeasibleError carries. One flow call after the
+    search finds the winner's quantities.
 
     ``limits.time_budget`` is checked while listing candidate subsets,
     between pricing steps and on entry to every search node;
-    ``limits.max_patterns`` caps the flow-checked patterns. A budget
+    ``limits.max_patterns`` caps the checked patterns. A budget
     that runs out after the search found a feasible plan returns that
     plan with status FEASIBLE_HEURISTIC.
 
@@ -497,6 +502,7 @@ def solve_exact(
     deadline = math.inf if limits.time_budget is None else started + limits.time_budget
     n, s = instance.n_articles, instance.n_stores
 
+    qty_bounds = quantity_bounds(instance)
     counts = instance.planned_totals() // instance.min_quantities()
     candidates = _store_candidates(instance, deadline)
     lam, costs = _supply_prices(candidates, counts, deadline)
@@ -533,8 +539,7 @@ def solve_exact(
         return bounds[key]
 
     best_value = -math.inf
-    best_key: bytes | None = None
-    best_x: np.ndarray | None = None
+    best: AssignmentPattern | None = None
     checked = 0
     chosen: list[list[int]] = []
     out_of_budget = False
@@ -542,7 +547,7 @@ def solve_exact(
     slack = 1e-9 * abs(suffix(0, 0)[0])  # values are >= 0, so this is >= 1e-9 * |best|
 
     def dfs(t: int, partial: float, blocked: int, tight: int, credit: float) -> None:
-        nonlocal best_value, best_key, best_x, checked
+        nonlocal best_value, best, checked
         nonlocal out_of_budget, last_certificate
         if time.perf_counter() > deadline:
             out_of_budget = True
@@ -553,19 +558,19 @@ def solve_exact(
                 return
             checked += 1
             pattern = AssignmentPattern.from_sets(n, [set(c) for c in chosen])
-            result = quantity_feasible(instance, pattern)
-            if not result.feasible:
-                last_certificate = result.certificate
-                return
+            if not split_feasible(pattern.y, qty_bounds):
+                result = quantity_feasible(instance, pattern)
+                if not result.feasible:
+                    last_certificate = result.certificate
+                    return
             key = pattern.y.tobytes()
             if (
-                best_key is None
+                best is None
                 or partial > best_value + _TIE_TOLERANCE
-                or (partial >= best_value - _TIE_TOLERANCE and key < best_key)
+                or (partial >= best_value - _TIE_TOLERANCE and key < best.y.tobytes())
             ):
                 best_value = max(best_value, partial)
-                best_key = key
-                best_x = result.x
+                best = pattern
             return
         plain, cheap = suffix(t + 1, blocked)
         rest = min(plain, cheap + credit + slack)
@@ -597,12 +602,11 @@ def solve_exact(
     # gives every article at least one), tight ones at most one.
     tight = sum(1 << i for i in range(n) if left[i] < 2)
     dfs(0, 0.0, 0, tight, float(lam @ counts))
-    elapsed = time.perf_counter() - started
 
-    if best_x is not None:
-        plan = plan_from_quantities(instance, best_x)
+    if best is not None:
+        plan = plan_from_quantities(instance, quantity_feasible(instance, best).x)
         status = SolveStatus.FEASIBLE_HEURISTIC if out_of_budget else SolveStatus.OPTIMAL
-        return SolveReport(plan, status, checked, elapsed)
+        return SolveReport(plan, status, checked, time.perf_counter() - started)
     if out_of_budget:
         raise BudgetExceededError(
             f"no feasible plan within budget ({checked} patterns checked)"

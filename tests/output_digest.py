@@ -9,8 +9,10 @@ Each run contributes its status, the objective as ``float.hex``, a hash
 of ``x``, the iteration count, or the error's type, message and
 certificate ``repr``. The corpus:
 
-- ``solve_exact`` on the demo, ``random_feasible_instance`` 0-199 and
-  ``adversarial_instance`` 0-119;
+- ``solve_exact`` on the demo, ``random_feasible_instance`` 0-199,
+  ``adversarial_instance`` 0-119, and without limits on the 8x12 and
+  10x12 ``recipe_instance`` (seed 0), where supply binds and some
+  patterns need the flow check;
 - ``solve_heuristic`` with seeds 0 and 1 on ``random_feasible_instance``
   0-299, ``adversarial_instance`` 0-299, ``random_micro_case`` 0-399 and
   ``random_feasible_instance`` 5000-5299 with ``n_range=(5, 12)``,
@@ -27,10 +29,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from conftest import adversarial_instance, random_feasible_instance, random_micro_case  # noqa: E402
+from conftest import (  # noqa: E402
+    adversarial_instance,
+    random_feasible_instance,
+    random_micro_case,
+    recipe_instance,
+)
 from stylemix.errors import StylemixError  # noqa: E402
 from stylemix.experiments import demo_instance  # noqa: E402
-from stylemix.solver import HeuristicConfig, solve_exact, solve_heuristic  # noqa: E402
+from stylemix.solver import HeuristicConfig, SolveLimits, solve_exact, solve_heuristic  # noqa: E402
 
 
 def outcome(solve, instance) -> str:
@@ -51,6 +58,13 @@ def corpus():
         yield f"exact feasible {seed}", solve_exact, random_feasible_instance(seed)[0]
     for seed in range(120):
         yield f"exact adversarial {seed}", solve_exact, adversarial_instance(seed)
+    unlimited = SolveLimits(max_patterns=None, time_budget=None)
+    for n in (8, 10):
+        yield (
+            f"exact recipe {n}x12 seed 0",
+            lambda inst: solve_exact(inst, unlimited),
+            recipe_instance(n, 12, 0),
+        )
     families = [
         ("feasible", lambda seed: random_feasible_instance(seed)[0], range(300)),
         ("adversarial", adversarial_instance, range(300)),

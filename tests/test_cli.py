@@ -334,6 +334,23 @@ class TestSolve:
                 "'distances.catalog_ref' must be a path string",
                 id="catalog-ref",
             ),
+            # n * n matches the entry count, which numpy's reshape took as
+            # two unknown dimensions.
+            pytest.param(
+                ("distances",),
+                {"n": -2, "entries": [0, 1, 1, 0]},
+                "distances.n must be at least 0, got -2",
+                id="negative-n",
+            ),
+            # Python reads digit separators: "0_1" as 1 (the line instance's
+            # d[0, 1]) and "0.2_5" as a valid alpha, so both would solve.
+            pytest.param(
+                ("distances", "entries", 1),
+                "0_1",
+                "'distances.entries' holds '0_1', not a number",
+                id="digit-separator-entry",
+            ),
+            pytest.param(("alpha",), "0.2_5", "not a number: '0.2_5'", id="digit-separator-alpha"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, path, value, field):

@@ -77,6 +77,8 @@ class TestFeatureCatalog:
             ('[{"id": "a", "vector": [1, true]}]', "json", "row 'a': cannot parse vector entry True"),
             ('[{"id": "a", "vector": [null]}]', "json", "row 'a': cannot parse vector entry None"),
             ('[{"id": "a", "vector": [[1]]}]', "json", "row 'a': cannot parse vector entry [1]"),
+            ('[{"id": "a", "vector": ["1_000"]}]', "json", "row 'a': cannot parse vector entry '1_000'"),
+            ("a,1_000,2\n", "csv", "row 'a': cannot parse vector entry '1_000'"),
             ("[{", "json", "invalid JSON"),
             ("a,1.0\n", "yaml", "unknown catalog format 'yaml'"),
             ("a,1.0\n ,2.0\n", "csv", "line 2: empty style id"),

@@ -1,15 +1,31 @@
 """The pattern's circulation: quantities, cut certificates and bounds."""
 
+import contextlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stylemix import solver
 from stylemix.core import Article, BigMPolicy, DistanceMatrix, DistributionInstance, Store
-from stylemix.flow import CutCertificate, EdgeCertificate, feasible_circulation
+from stylemix.errors import StylemixError
+from stylemix.flow import (
+    CutCertificate,
+    EdgeCertificate,
+    feasible_circulation,
+    quantity_bounds,
+    split_feasible,
+)
 from stylemix.solver import AssignmentPattern, quantity_feasible
 
-from conftest import cut_totals
+from conftest import (
+    adversarial_instance,
+    cut_totals,
+    dp_quantity_feasible,
+    random_feasible_instance,
+    random_micro_case,
+)
 
 
 def make_instance(planned, min_qty, desired, alpha="0", policy=BigMPolicy.STORE_QTY):
@@ -142,3 +158,55 @@ class TestCutCertificates:
                 assert cert.required > cert.available
                 assert cut_totals(instance, y, cert) == (cert.required, cert.available)
         assert min(seen.values()) > 20, seen
+
+
+def proven_leaves(monkeypatch) -> list:
+    """(instance, y) for each pattern the exact search proves by the split."""
+    proven = []
+    tested = solver.split_feasible
+
+    def recording(y, bounds):
+        verdict = tested(y, bounds)
+        if verdict:
+            proven.append((instance, y.copy()))
+        return verdict
+
+    monkeypatch.setattr(solver, "split_feasible", recording)
+    instances = [random_feasible_instance(seed)[0] for seed in range(60)]
+    instances += [adversarial_instance(seed) for seed in range(120)]
+    for instance in instances:
+        with contextlib.suppress(StylemixError):
+            solver.solve_exact(instance)
+    return proven
+
+
+class TestSplitFeasible:
+    def test_proves_only_feasible_patterns(self, monkeypatch):
+        # The split is a sufficient test: wherever it says feasible, the
+        # exhaustive oracle must agree (the flow where the oracle's store
+        # totals would be too many). It must prove many patterns, and
+        # miss some the flow finds feasible.
+        proven, missed = [], 0
+        for instance, pattern in map(random_micro_case, range(400)):
+            if split_feasible(pattern.y, quantity_bounds(instance)):
+                proven.append((instance, pattern.y))
+            else:
+                missed += quantity_feasible(instance, pattern).feasible
+        proven += proven_leaves(monkeypatch)
+        by_oracle = 0
+        for instance, y in proven:
+            pattern = AssignmentPattern(y)
+            if math.prod(instance.upper_band(t) + 1 for t in range(instance.n_stores)) <= 2000:
+                assert dp_quantity_feasible(instance, pattern), (instance, y)
+                by_oracle += 1
+            else:
+                assert quantity_feasible(instance, pattern).feasible, (instance, y)
+        assert by_oracle >= 200 and len(proven) - by_oracle >= 100
+        assert missed >= 5
+
+    def test_assigned_minimum_above_cap_is_not_proven(self):
+        # Planned totals cover everything, but a0's minimum 5 exceeds the cap 4.
+        instance = make_instance([20, 20], [5, 1], [4], alpha="1/2")
+        y = np.ones((2, 1), dtype=np.int8)
+        assert not split_feasible(y, quantity_bounds(instance))
+        assert not feasible_circulation(instance, y).feasible

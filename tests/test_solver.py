@@ -543,6 +543,18 @@ class TestSolveExact:
             pass
         assert time.perf_counter() - started < 2.5
 
+    def test_capacity_above_32_bits_raises(self):
+        # The split proves the only pattern feasible; the flow call that
+        # finds the winner's quantities still rejects its capacities.
+        inst = DistributionInstance(
+            articles=(Article("a0", 2_000_000_000, 1), Article("a1", 2_000_000_000, 1)),
+            stores=(Store("s0", 3_000_000_000),),
+            alpha=Fraction("0.2"),
+            distances=DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        )
+        with pytest.raises(ValueError, match="flow capacities exceed 2147483647"):
+            solve_exact(inst)
+
     def test_budget_one_still_returns_a_plan(self, line_instance):
         report = solve_exact(
             line_instance, limits=SolveLimits(max_patterns=1, time_budget=None)
