@@ -1,16 +1,17 @@
 """Shared data model: style catalogs, distance matrices, instances, plans.
 
 Everything here is immutable after construction and safe to share across
-threads. Parsing is strict: malformed input raises a specific
-``CatalogError`` subclass (or ``MalformedInputError`` for instances)
-naming the offending row or field, while semantic problems with an
-otherwise well-formed instance are reported by ``validate_instance`` as
-a list of ``Violation`` records.
+threads; an instance computes its ``bounds`` once, on first read. Parsing
+is strict: malformed input raises a specific ``CatalogError`` subclass (or
+``MalformedInputError`` for instances) naming the offending row or field,
+while semantic problems with an otherwise well-formed instance are
+reported by ``validate_instance`` as a list of ``Violation`` records.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -302,7 +303,7 @@ def load_catalog(text: str, format: str = "csv") -> FeatureCatalog:
     if fmt == "json":
         try:
             records = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedInputError(f"invalid JSON: {exc}") from exc
         if not isinstance(records, list):
             raise MalformedInputError("catalog JSON must be an array of objects")
@@ -474,11 +475,18 @@ class DistributionInstance:
     def n_stores(self) -> int:
         return len(self.stores)
 
-    def planned_totals(self) -> np.ndarray:
-        return np.array([a.planned_total for a in self.articles], dtype=np.int64)
-
-    def min_quantities(self) -> np.ndarray:
-        return np.array([a.min_qty for a in self.articles], dtype=np.int64)
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, ...]:
+        """Read-only int64 ``(min_qty, planned, cap, lower, upper)``: article fields, then each
+        store's ``big_m``, ``lower_band`` and ``upper_band``. Built on first read, so an
+        invalid instance (alpha 10**400) still constructs and reaches validation."""
+        stores = range(self.n_stores)
+        columns = (
+            [a.min_qty for a in self.articles],
+            [a.planned_total for a in self.articles],
+            *([band(t) for t in stores] for band in (self.big_m, self.lower_band, self.upper_band)),
+        )
+        return tuple(_readonly(np.array(column, dtype=np.int64)) for column in columns)
 
     def lower_band(self, s: int) -> int:
         """Smallest integer total a store may receive: ceil((1-alpha)*q_s)."""
@@ -698,7 +706,7 @@ def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> Distr
     """
     try:
         payload = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedInputError("instance JSON must be an object")
@@ -726,8 +734,9 @@ def read_instance_file(path: str | os.PathLike) -> DistributionInstance:
 
 def instance_to_json(instance: DistributionInstance) -> str:
     """Serialize an instance to the documented JSON shape."""
+    alpha = float(instance.alpha)  # or exact text such as "1/3" where the float is not exact
     payload = {
-        "alpha": float(instance.alpha),
+        "alpha": alpha if Fraction(repr(alpha)) == instance.alpha else str(instance.alpha),
         "big_m_policy": instance.big_m_policy.value,
         "articles": [
             {"id": a.id, "planned_total": a.planned_total, "min_qty": a.min_qty}

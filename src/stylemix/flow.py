@@ -28,7 +28,6 @@ __all__ = [
     "EdgeCertificate",
     "QuantityResult",
     "feasible_circulation",
-    "quantity_bounds",
     "split_feasible",
 ]
 
@@ -97,30 +96,19 @@ class QuantityResult:
     certificate: CutCertificate | EdgeCertificate | None = None
 
 
-def quantity_bounds(instance: DistributionInstance) -> tuple[np.ndarray, ...]:
-    """Article minimums and planned totals, then store caps, lower and upper bands (int64)."""
-    stores = range(instance.n_stores)
-    bands = (instance.big_m, instance.lower_band, instance.upper_band)
-    return (
-        instance.min_quantities(),
-        instance.planned_totals(),
-        *(np.array([band(t) for t in stores], dtype=np.int64) for band in bands),
-    )
-
-
 def split_feasible(y: np.ndarray, bounds: tuple[np.ndarray, ...]) -> bool:
     """Whether an even split of each article's spare units proves ``y`` feasible.
 
-    A sufficient test, not a necessary one, on the ``quantity_bounds`` of
-    a valid instance. Article i's spare is planned_i - min_i * deg_i over
-    its deg_i assigned stores, and each assigned pair's share is
-    min(cap_t - min_i, spare_i // deg_i). True means every share is at
-    least 0 (so no spare is negative and no minimum exceeds its cap),
-    every store's forced total F_t = sum_i min_i y_it is at most its
-    upper band, and F_t plus the store's shares reaches its lower band.
-    Then shipping each pair its minimum plus its share, and trimming
-    each store's shares down to a total of max(F_t, lower_t), gives
-    valid integer quantities.
+    A sufficient test, not a necessary one, on the
+    ``DistributionInstance.bounds`` of a valid instance. Article i's spare
+    is planned_i - min_i * deg_i over its deg_i assigned stores, and each
+    assigned pair's share is min(cap_t - min_i, spare_i // deg_i). True
+    means every share is at least 0 (so no spare is negative and no
+    minimum exceeds its cap), every store's forced total F_t = sum_i
+    min_i y_it is at most its upper band, and F_t plus the store's shares
+    reaches its lower band. Then shipping each pair its minimum plus its
+    share, and trimming each store's shares down to a total of
+    max(F_t, lower_t), gives valid integer quantities.
     """
     mins, planned, caps, lowers, uppers = bounds
     deg = y.sum(axis=1)
@@ -148,7 +136,7 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
             invalid store band, or capacities above 2**31 - 1 after capping.
     """
     n, s = y.shape
-    min_qty, planned, cap, lower, upper = (bound.tolist() for bound in quantity_bounds(instance))
+    min_qty, planned, cap, lower, upper = (bound.tolist() for bound in instance.bounds)
     pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]
     for i, t in pairs:
         if min_qty[i] > cap[t]:

@@ -55,7 +55,7 @@ from .errors import (
     TooFewStylesError,
     Violation,
 )
-from .flow import QuantityResult, feasible_circulation, quantity_bounds, split_feasible
+from .flow import QuantityResult, feasible_circulation, split_feasible
 from .variety import VarietyMeasure, variety
 
 __all__ = [
@@ -365,7 +365,7 @@ def _store_candidates(
     admissible subsets.
     """
     n, s = instance.n_articles, instance.n_stores
-    mins, planned, caps, lowers, uppers = quantity_bounds(instance)
+    mins, planned, caps, lowers, uppers = instance.bounds
     # An article whose min_qty exceeds a store's cap weighs more than the
     # store's upper band, so no subset that holds it passes the weight test.
     weights = [np.where(mins <= cap, mins, upper + 1) for cap, upper in zip(caps, uppers)]
@@ -478,8 +478,8 @@ def solve_exact(
     depend on the visiting order.
 
     Each complete pattern's quantities are checked once. An even split
-    of each article's spare units (``flow.split_feasible``, on bounds
-    read once per solve) proves most feasible patterns at once; the rest
+    of each article's spare units (``flow.split_feasible``, on the
+    instance's ``bounds``) proves most feasible patterns at once; the rest
     go to ``quantity_feasible``, and the last failure's cut certificate
     is the one an InfeasibleError carries. One flow call after the
     search finds the winner's quantities.
@@ -502,8 +502,7 @@ def solve_exact(
     deadline = math.inf if limits.time_budget is None else started + limits.time_budget
     n, s = instance.n_articles, instance.n_stores
 
-    qty_bounds = quantity_bounds(instance)
-    counts = instance.planned_totals() // instance.min_quantities()
+    counts = instance.bounds[1] // instance.bounds[0]
     candidates = _store_candidates(instance, deadline)
     lam, costs = _supply_prices(candidates, counts, deadline)
     priced = [values - cost for (values, _), cost in zip(candidates, costs)]
@@ -544,7 +543,6 @@ def solve_exact(
     chosen: list[list[int]] = []
     out_of_budget = False
     last_certificate = None
-    slack = 1e-9 * abs(suffix(0, 0)[0])  # values are >= 0, so this is >= 1e-9 * |best|
 
     def dfs(t: int, partial: float, blocked: int, tight: int, credit: float) -> None:
         nonlocal best_value, best, checked
@@ -558,7 +556,7 @@ def solve_exact(
                 return
             checked += 1
             pattern = AssignmentPattern.from_sets(n, [set(c) for c in chosen])
-            if not split_feasible(pattern.y, qty_bounds):
+            if not split_feasible(pattern.y, instance.bounds):
                 result = quantity_feasible(instance, pattern)
                 if not result.feasible:
                     last_certificate = result.certificate
@@ -601,7 +599,13 @@ def solve_exact(
     # Article bitmasks: blocked articles have no store left (validation
     # gives every article at least one), tight ones at most one.
     tight = sum(1 << i for i in range(n) if left[i] < 2)
-    dfs(0, 0.0, 0, tight, float(lam @ counts))
+    try:
+        slack = 1e-9 * abs(suffix(0, 0)[0])  # values are >= 0, so this is >= 1e-9 * |best|
+        dfs(0, 0.0, 0, tight, float(lam @ counts))
+    except RecursionError:  # hit on the first descent, the deepest, before any plan is found
+        raise BudgetExceededError(
+            f"the exact search recurses once per store and cannot reach {s} stores; try --mode heuristic"
+        ) from None
 
     if best is not None:
         plan = plan_from_quantities(instance, quantity_feasible(instance, best).x)
@@ -620,6 +624,8 @@ def solve_exact(
 class _SearchState:
     """Mutable pattern state for construction and local search.
 
+    ``left[i]`` counts the stores article i can still serve, as in the
+    exact search: planned_i // min_i less the stores that hold it.
     ``apply(drops, adds)`` makes a move given as (store, article) pairs
     and ``apply(adds, drops)`` undoes it.
     """
@@ -629,14 +635,13 @@ class _SearchState:
         self.d = instance.distances.entries.tolist()
         self.n = instance.n_articles
         self.s = instance.n_stores
-        self.mins = instance.min_quantities().tolist()
-        self.planned = instance.planned_totals().tolist()
-        self.caps = [instance.big_m(t) for t in range(self.s)]
-        self.upper = [instance.upper_band(t) for t in range(self.s)]
+        self.mins, self.planned, self.caps, self.lower, self.upper = (
+            bound.tolist() for bound in instance.bounds
+        )
+        self.left = [total // least for total, least in zip(self.planned, self.mins)]
         self.sets: list[set[int]] = [set() for _ in range(self.s)]
         self.pair_sums = [0.0] * self.s
         self.forced = [0] * self.s
-        self.committed = [0] * self.n
 
     def store_value(self, t: int) -> float:
         k = len(self.sets[t])
@@ -651,13 +656,13 @@ class _SearchState:
         self.pair_sums[t] += self.links(t, i)
         self.sets[t].add(i)
         self.forced[t] += self.mins[i]
-        self.committed[i] += self.mins[i]
+        self.left[i] -= 1
 
     def remove(self, t: int, i: int) -> None:
         self.sets[t].discard(i)
         self.pair_sums[t] -= self.links(t, i)
         self.forced[t] -= self.mins[i]
-        self.committed[i] -= self.mins[i]
+        self.left[i] += 1
 
     def apply(self, drops, adds) -> None:
         for t, i in drops:
@@ -686,8 +691,8 @@ class _SearchState:
         return self.forced[t] + self.mins[add] - released <= self.upper[t]
 
     def can_add(self, t: int, i: int) -> bool:
-        """``fits``, plus supply for one more minimum of i (swaps and moves add none)."""
-        return self.committed[i] + self.mins[i] <= self.planned[i] and self.fits(t, i)
+        """``fits``, plus a store left for i (swaps and moves add no store)."""
+        return self.left[i] > 0 and self.fits(t, i)
 
     def pattern(self) -> AssignmentPattern:
         return AssignmentPattern.from_sets(self.n, self.sets)
@@ -721,17 +726,13 @@ def _construct(state: _SearchState, choose_add) -> int | None:
     returns None. A store left with fewer than two styles ends the
     construction and is returned; None means every store has two.
     """
-    instance = state.instance
-    store_order = sorted(
-        range(state.s), key=lambda t: (-instance.stores[t].desired_qty, t)
-    )
+    stores = state.instance.stores
+    store_order = sorted(range(state.s), key=lambda t: (-stores[t].desired_qty, t))
     for t in store_order:
-        lb = instance.lower_band(t)
-        cap_t = instance.big_m(t)
         while True:
             members = state.sets[t]
-            coverage = sum(min(cap_t, state.planned[i]) for i in members)
-            if len(members) >= 2 and coverage >= lb:
+            coverage = sum(min(state.caps[t], state.planned[i]) for i in members)
+            if len(members) >= 2 and coverage >= state.lower[t]:
                 break
             chosen = choose_add(t)
             if chosen is None:

@@ -24,6 +24,8 @@ def test_tracer_installs_records_and_uninstalls(monkeypatch, line_instance):
     assert summary.calls("solver.solve_heuristic") == 1
     assert summary.calls("solver.quantity_feasible") >= 1
     assert summary.calls("flow.feasible_circulation") >= 1
+    # The bounds table reads each store's three band methods once.
+    assert summary.calls("core.band") == 3 * line_instance.n_stores
     assert (cli.solve_exact, solver.quantity_feasible, solver.feasible_circulation) == originals
 
 
@@ -31,7 +33,8 @@ def test_tracer_counts_every_flow_call(monkeypatch):
     # solve_exact checks each of the demo's 24 complete patterns; the even
     # split proves them all feasible, so the one flow call finds the
     # winner's quantities. Every flow call goes through the module
-    # globals that the tracer patches.
+    # globals that the tracer patches. The bounds table reads each of
+    # the 6 stores' three band methods once.
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
@@ -45,3 +48,4 @@ def test_tracer_counts_every_flow_call(monkeypatch):
     assert report.iterations == 24
     assert summary.calls("solver.quantity_feasible") == 1
     assert summary.calls("flow.feasible_circulation") == 1
+    assert summary.calls("core.band") == 18

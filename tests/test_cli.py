@@ -237,6 +237,13 @@ class TestSolve:
         assert main(["solve", "--instance", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # Written as text: json.dumps of such a list would recurse itself.
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["solve", "--instance", str(bad)]) == 2
+        assert "error: invalid JSON: maximum recursion depth" in capsys.readouterr().err
+
     def test_infeasible_exits_3_with_certificate(self, infeasible_path, capsys):
         assert main(["solve", "--instance", str(infeasible_path)]) == 3
         captured = capsys.readouterr()
@@ -271,6 +278,20 @@ class TestSolve:
         )
         assert code == 4
         assert "budget exceeded:" in capsys.readouterr().err
+
+    def test_exact_search_beyond_the_recursion_limit_exits_4(self, tmp_path, capsys):
+        stores = 1500
+        instance = DistributionInstance(
+            articles=(Article("a0", stores, 1), Article("a1", stores, 1)),
+            stores=tuple(Store(f"s{t}", 2) for t in range(stores)),
+            alpha=Fraction(0),
+            distances=DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        )
+        path = _write_instance(tmp_path / "wide.json", instance)
+        assert main(["solve", "--instance", str(path), "--mode", "exact"]) == 4
+        err = capsys.readouterr().err
+        assert "budget exceeded:" in err and "1500 stores" in err and "--mode heuristic" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Catalog, distance, and instance type behaviour."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -34,6 +35,9 @@ from stylemix.errors import (
     NonFiniteValueError,
     ValidationError,
 )
+from stylemix.experiments import demo_instance
+
+from conftest import adversarial_instance, random_feasible_instance
 
 
 def small_catalog() -> FeatureCatalog:
@@ -83,6 +87,7 @@ class TestFeatureCatalog:
             ("a,1.0\n", "yaml", "unknown catalog format 'yaml'"),
             ("a,1.0\n ,2.0\n", "csv", "line 2: empty style id"),
             ("a,1.0\nb\n", "csv", "row 'b' has no vector entries"),
+            pytest.param("[" * 100_000 + "]" * 100_000, "json", "invalid JSON", id="deep-nesting"),
         ],
     )
     def test_malformed_catalog_rejected(self, text, format, message):
@@ -271,6 +276,26 @@ class TestBandArithmetic:
         assert strict.big_m(0) == 30
         assert roomy.big_m(0) == 36
 
+    def test_bounds_table_matches_the_band_methods(self):
+        instances = [demo_instance()]
+        instances += [random_feasible_instance(seed)[0] for seed in range(50)]
+        instances += [adversarial_instance(seed) for seed in range(50)]
+        for base in instances:
+            for policy in BigMPolicy:
+                inst = dataclasses.replace(base, big_m_policy=policy)
+                stores = range(inst.n_stores)
+                table = inst.bounds
+                assert [column.tolist() for column in table] == [
+                    [a.min_qty for a in inst.articles],
+                    [a.planned_total for a in inst.articles],
+                    [inst.big_m(t) for t in stores],
+                    [inst.lower_band(t) for t in stores],
+                    [inst.upper_band(t) for t in stores],
+                ]
+                for column in table:
+                    assert column.dtype == np.int64 and not column.flags.writeable
+                assert inst.bounds is table
+
     def test_policy_wire_names(self):
         assert BigMPolicy.STORE_QTY.value == "paper_qs"
         assert BigMPolicy.BAND_LIMIT.value == "tolerant_qs"
@@ -369,6 +394,18 @@ class TestInstanceIO:
         inst = load_instance(json.dumps(self.demo_doc()))
         again = load_instance(instance_to_json(inst))
         assert again == inst
+
+    def test_round_trip_keeps_an_alpha_without_exact_decimal(self):
+        doc = self.demo_doc()
+        doc["alpha"] = "1/3"
+        doc["stores"] = [{"id": "s0", "desired_qty": 30}]
+        inst = load_instance(json.dumps(doc))
+        text = instance_to_json(inst)
+        assert json.loads(text)["alpha"] == "1/3"
+        again = load_instance(text)
+        assert again == inst and again.upper_band(0) == 40
+        # An alpha whose float text is exact stays a JSON number.
+        assert json.loads(instance_to_json(load_instance(json.dumps(self.demo_doc()))))["alpha"] == 0.2
 
     def test_nested_entries_accepted(self):
         doc = self.demo_doc()

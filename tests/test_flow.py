@@ -14,7 +14,6 @@ from stylemix.flow import (
     CutCertificate,
     EdgeCertificate,
     feasible_circulation,
-    quantity_bounds,
     split_feasible,
 )
 from stylemix.solver import AssignmentPattern, quantity_feasible
@@ -188,7 +187,7 @@ class TestSplitFeasible:
         # miss some the flow finds feasible.
         proven, missed = [], 0
         for instance, pattern in map(random_micro_case, range(400)):
-            if split_feasible(pattern.y, quantity_bounds(instance)):
+            if split_feasible(pattern.y, instance.bounds):
                 proven.append((instance, pattern.y))
             else:
                 missed += quantity_feasible(instance, pattern).feasible
@@ -208,5 +207,5 @@ class TestSplitFeasible:
         # Planned totals cover everything, but a0's minimum 5 exceeds the cap 4.
         instance = make_instance([20, 20], [5, 1], [4], alpha="1/2")
         y = np.ones((2, 1), dtype=np.int8)
-        assert not split_feasible(y, quantity_bounds(instance))
+        assert not split_feasible(y, instance.bounds)
         assert not feasible_circulation(instance, y).feasible

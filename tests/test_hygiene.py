@@ -1,6 +1,7 @@
 """Source hygiene: every module uses each name it imports and has each
-name it exports, each public name has one import path, and every private
-module-level name has a user."""
+name it exports, each public name has one import path, every private
+module-level name has a user, and the solvers read an instance's bounds
+table instead of its band methods."""
 
 import ast
 import importlib
@@ -118,3 +119,28 @@ def test_private_names_are_referenced_elsewhere():
         if everywhere[name] - _references(node)[name] <= 0
     ]
     assert unused == [], f"private names nothing else in src/ refers to: {unused}"
+
+
+def _readers(tree: ast.Module, attrs: set[str]):
+    """Top-level functions and methods (``Class.method``) that take any of ``attrs``."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if any(isinstance(sub, ast.Attribute) and sub.attr in attrs for sub in ast.walk(member)):
+                name = getattr(member, "name", "<module>")
+                yield name if member is node else f"{node.name}.{name}"
+
+
+def test_solvers_read_the_bounds_table_not_the_band_methods():
+    # The LP text and the plan check also take bands beyond int64, which
+    # the instance's bounds table cannot hold.
+    allowed = {"lp._subject_to", "solver.plan_violations"}
+    readers = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        if path.stem != "core"
+        for name in _readers(
+            ast.parse(path.read_text(encoding="utf-8")), {"lower_band", "upper_band", "big_m"}
+        )
+    }
+    assert readers <= allowed, f"band methods read outside core: {sorted(readers - allowed)}"

@@ -410,7 +410,7 @@ class TestSolveExact:
     def test_supply_prices_are_nonnegative_repeatable_and_tighten_the_demo(self):
         for instance in (demo_instance(), supply_bound_instance(), recipe_instance(10, 12, 0)):
             candidates = solver._store_candidates(instance)
-            counts = instance.planned_totals() // instance.min_quantities()
+            counts = instance.bounds[1] // instance.bounds[0]
             lam, _ = solver._supply_prices(candidates, counts)
             assert lam.any() and np.all(lam >= 0)
             again, _ = solver._supply_prices(candidates, counts)
@@ -554,6 +554,17 @@ class TestSolveExact:
         )
         with pytest.raises(ValueError, match="flow capacities exceed 2147483647"):
             solve_exact(inst)
+
+    def test_search_beyond_the_recursion_limit_raises_budget_error(self):
+        # The search recurses once per store: 1,500 stores outgrow
+        # Python's default recursion limit of 1,000.
+        stores = 1500
+        instance = two_article_instance(
+            articles=(Article("a0", stores, 1), Article("a1", stores, 1)),
+            stores=tuple(Store(f"s{t}", 2) for t in range(stores)),
+        )
+        with pytest.raises(BudgetExceededError, match="cannot reach 1500 stores; try --mode heuristic"):
+            solve_exact(instance)
 
     def test_budget_one_still_returns_a_plan(self, line_instance):
         report = solve_exact(
