@@ -97,6 +97,8 @@ class LinearityConfig:
             raise ValueError("subset_sizes must be non-empty")
         if min(self.subset_sizes) < 1:
             raise ValueError("subset sizes must be at least 1")
+        if len(set(self.subset_sizes)) < len(self.subset_sizes):
+            raise ValueError(f"subset sizes must not repeat, got {list(self.subset_sizes)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
 

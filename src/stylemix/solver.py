@@ -413,6 +413,12 @@ def _supply_prices(
     1981). Projected subgradient steps over all stores' subsets at once
     keep the lam with the lowest L; the run is deterministic and stops
     at the deadline. lam is 0 when every count covers all stores.
+
+    Each step prices the concatenated rows with one matrix product and
+    copies them into a stores x widest-store table padded with -inf, whose
+    ``argmax(axis=1)`` is each store's first top subset. The product runs
+    on the unpadded rows because BLAS may round a row differently when
+    the row count changes.
     """
     n = len(counts)
     if np.all(counts >= len(candidates)):
@@ -422,21 +428,25 @@ def _supply_prices(
     values = np.concatenate([values for values, _ in candidates])
     masks = np.concatenate([masks for _, masks in candidates])
     members = (masks[:, None] >> np.arange(n) & 1).astype(float)
+    table = np.full((len(sizes), max(sizes)), -math.inf)
+    slots = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    counts = counts.astype(float)  # exact, and no cast in every step
     lam = best_lam = np.zeros(n)
-    step, best = values.max() / 4, math.inf
+    step, best = float(values.max()) / 4, math.inf
     for k in range(_PRICE_STEPS):
         if time.perf_counter() > deadline:
             break
         priced = values - members @ lam
-        top = np.maximum.reduceat(priced, starts)
-        bound = top.sum() + lam @ counts
+        table[slots] = priced
+        first = table.argmax(axis=1) + starts
+        bound = priced[first].sum() + lam @ counts
         if bound < best:
             best, best_lam = bound, lam
-        hits = np.flatnonzero(priced == np.repeat(top, sizes))
-        g = counts - members[hits[np.searchsorted(hits, starts)]].sum(axis=0)
-        if not g.any():
+        g = counts - members[first].sum(axis=0)
+        norm2 = g @ g  # zero exactly when g is: its entries are whole numbers
+        if not norm2:
             break
-        lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(g @ g) * g)
+        lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(norm2) * g)
     return best_lam, np.split(members @ best_lam, starts[1:])
 
 
@@ -477,12 +487,14 @@ def solve_exact(
     lexicographically smallest row-major y wins, so the result does not
     depend on the visiting order.
 
-    Each complete pattern's quantities are checked once. An even split
-    of each article's spare units (``flow.split_feasible``, on the
-    instance's ``bounds``) proves most feasible patterns at once; the rest
-    go to ``quantity_feasible``, and the last failure's cut certificate
-    is the one an InfeasibleError carries. One flow call after the
-    search finds the winner's quantities.
+    Each complete pattern's quantities are checked once, on an int8 ``y``
+    built from the stores' chosen article lists. An even split of each
+    article's spare units (``flow.split_feasible``, on the instance's
+    ``bounds``) proves most feasible patterns at once; the rest go to
+    ``quantity_feasible``, and the last failure's cut certificate is the
+    one an InfeasibleError carries. An AssignmentPattern is made only for
+    such a flow check and for the winner, whose quantities one flow call
+    after the search finds.
 
     ``limits.time_budget`` is checked while listing candidate subsets,
     between pricing steps and on entry to every search node;
@@ -520,32 +532,33 @@ def solve_exact(
             yield from block
 
     left = counts.tolist()
-    bounds: dict[tuple[int, int], tuple[float, float]] = {}
+    # suffix's results per store and blocked mask; memo[s] stays empty.
+    memo: list[dict[int, tuple[float, float]]] = [{} for _ in range(s + 1)]
 
     def suffix(t: int, blocked: int) -> tuple[float, float]:
         """Over stores u >= t, the sums of u's best value and of its best
         priced value among the subsets avoiding ``blocked``."""
         if t == s:
             return 0.0, 0.0
-        key = (t, blocked)
-        if key not in bounds:
+        level = memo[t]
+        if blocked not in level:
             values, masks = candidates[t]
             free = (masks & blocked) == 0
             first = int(free.argmax())
             plain, cheap = suffix(t + 1, blocked) if free[first] else (-math.inf, -math.inf)
-            best_priced = np.max(priced[t], where=free, initial=-math.inf)
-            bounds[key] = (plain + float(values[first]), cheap + float(best_priced))
-        return bounds[key]
+            best_priced = np.maximum.reduce(priced[t], where=free, initial=-math.inf)
+            level[blocked] = (plain + float(values[first]), cheap + float(best_priced))
+        return level[blocked]
 
     best_value = -math.inf
-    best: AssignmentPattern | None = None
+    best_y: np.ndarray | None = None
     checked = 0
     chosen: list[list[int]] = []
     out_of_budget = False
     last_certificate = None
 
     def dfs(t: int, partial: float, blocked: int, tight: int, credit: float) -> None:
-        nonlocal best_value, best, checked
+        nonlocal best_value, best_y, checked
         nonlocal out_of_budget, last_certificate
         if time.perf_counter() > deadline:
             out_of_budget = True
@@ -555,32 +568,37 @@ def solve_exact(
                 out_of_budget = True
                 return
             checked += 1
-            pattern = AssignmentPattern.from_sets(n, [set(c) for c in chosen])
-            if not split_feasible(pattern.y, instance.bounds):
-                result = quantity_feasible(instance, pattern)
+            y = np.zeros((n, s), dtype=np.int8)
+            for u, combo in enumerate(chosen):
+                y[combo, u] = 1
+            if not split_feasible(y, instance.bounds):
+                result = quantity_feasible(instance, AssignmentPattern(y))
                 if not result.feasible:
                     last_certificate = result.certificate
                     return
-            key = pattern.y.tobytes()
             if (
-                best is None
+                best_y is None
                 or partial > best_value + _TIE_TOLERANCE
-                or (partial >= best_value - _TIE_TOLERANCE and key < best.y.tobytes())
+                or (partial >= best_value - _TIE_TOLERANCE and y.tobytes() < best_y.tobytes())
             ):
                 best_value = max(best_value, partial)
-                best = pattern
+                best_y = y
             return
         plain, cheap = suffix(t + 1, blocked)
         rest = min(plain, cheap + credit + slack)
+        floor = best_value - _TIE_TOLERANCE
+        below = memo[t + 1]
         for value, cost, mask in rows(t):
-            if partial + value + rest < best_value - _TIE_TOLERANCE:
+            reached = partial + value
+            if reached + rest < floor:
                 break
             if mask & blocked:
                 continue
             after = blocked | (mask & tight)
-            plain_after, cheap_after = suffix(t + 1, after)
-            bound = min(plain_after, cheap_after + credit - cost + slack)
-            if partial + value + bound < best_value - _TIE_TOLERANCE:
+            plain_after, cheap_after = below.get(after) or suffix(t + 1, after)
+            priced_after = cheap_after + credit - cost + slack
+            # min(plain_after, priced_after), without a call on this per-row path
+            if reached + (priced_after if priced_after < plain_after else plain_after) < floor:
                 continue
             combo = [i for i in range(n) if mask >> i & 1]
             tighter = tight
@@ -589,12 +607,13 @@ def solve_exact(
                 if left[i] < 2:
                     tighter |= 1 << i
             chosen.append(combo)
-            dfs(t + 1, partial + value, after, tighter, credit - cost)
+            dfs(t + 1, reached, after, tighter, credit - cost)
             chosen.pop()
             for i in combo:
                 left[i] += 1
             if out_of_budget:
                 return
+            floor = best_value - _TIE_TOLERANCE  # only a leaf below raises best_value
 
     # Article bitmasks: blocked articles have no store left (validation
     # gives every article at least one), tight ones at most one.
@@ -607,8 +626,8 @@ def solve_exact(
             f"the exact search recurses once per store and cannot reach {s} stores; try --mode heuristic"
         ) from None
 
-    if best is not None:
-        plan = plan_from_quantities(instance, quantity_feasible(instance, best).x)
+    if best_y is not None:
+        plan = plan_from_quantities(instance, quantity_feasible(instance, AssignmentPattern(best_y)).x)
         status = SolveStatus.FEASIBLE_HEURISTIC if out_of_budget else SolveStatus.OPTIMAL
         return SolveReport(plan, status, checked, time.perf_counter() - started)
     if out_of_budget:

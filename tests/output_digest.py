@@ -4,6 +4,11 @@ Not a test: run it on both sides of a change that must keep outputs
 identical, and compare the last line it prints.
 
     python tests/output_digest.py
+    python tests/output_digest.py --runs > runs.txt   # also one line per run
+
+With ``--runs`` it first prints each run's ``label: outcome`` line, the
+text that is hashed, so that diffing the files of two checkouts finds
+the first run that differs.
 
 Each run contributes its status, the objective as ``float.hex``, a hash
 of ``x``, the iteration count, or the error's type, message and
@@ -21,6 +26,7 @@ certificate ``repr``. The corpus:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import time
@@ -88,13 +94,19 @@ def corpus():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", action="store_true", help="print one line per run before the digest")
+    args = parser.parse_args()
     start = time.perf_counter()
     digest = hashlib.sha256()
     kinds: Counter[str] = Counter()
     for label, solve, instance in corpus():
         line = outcome(solve, instance)
         kinds[line.split("|", 1)[0]] += 1
-        digest.update(f"{label}: {line}\n".encode())
+        text = f"{label}: {line}\n"
+        digest.update(text.encode())
+        if args.runs:
+            sys.stdout.write(text)
     runs = sum(kinds.values())
     print(", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items())))
     print(f"{runs} runs in {time.perf_counter() - start:.1f} s")

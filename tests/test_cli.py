@@ -530,6 +530,29 @@ class TestExperiment:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_linearity_repeated_sizes_exit_2(self, capsys):
+        # A repeated size used to fit a line through two copies of one point.
+        code = main(["experiment", "--kind", "linearity", "--sizes", "2,2", "--reps", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: subset sizes must not repeat, got [2, 2]\n"
+
+    def test_linearity_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # A huge --population-size makes numpy raise MemoryError; the
+        # allocation itself is not attempted here.
+        def too_large(n, dim, seed):
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {dim})")
+
+        monkeypatch.setattr(cli, "synthetic_population", too_large)
+        code = main(["experiment", "--kind", "linearity", "--population-size", "100000000000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Unable to allocate an array with shape (100000000000, 16)\n"
+        )
+
     def test_linearity_range_beyond_population_exits_2_early(self, capsys):
         # The range is checked against the population before it is listed.
         tracemalloc.start()

@@ -102,6 +102,7 @@ class TestRunLinearity:
             ((), 10, "subset_sizes must be non-empty"),
             ((0, 2), 10, "subset sizes must be at least 1"),
             ((2,), 0, "repetitions must be at least 1"),
+            ((2, 3, 2), 10, r"subset sizes must not repeat, got \[2, 3, 2\]"),
         ],
     )
     def test_invalid_config_rejected(self, sizes, reps, message):

@@ -1,6 +1,7 @@
 """Quantity feasibility, exact search, and the heuristic."""
 
 import contextlib
+import math
 import time
 from fractions import Fraction
 from itertools import combinations, count, product
@@ -306,6 +307,57 @@ def priced_root_bound(instance: DistributionInstance) -> tuple[float, np.ndarray
     return total, lam
 
 
+def reduceat_supply_prices(candidates, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``solver._supply_prices`` without a deadline, as one ``reduceat`` pass per step.
+
+    The reference loop: each step finds every store's top priced value
+    with ``np.maximum.reduceat`` and its first row reaching it through
+    ``repeat``, ``==``, ``flatnonzero`` and ``searchsorted``.
+    """
+    n = len(counts)
+    if np.all(counts >= len(candidates)):
+        return np.zeros(n), [np.zeros(len(values)) for values, _ in candidates]
+    sizes = [len(values) for values, _ in candidates]
+    starts = np.cumsum([0, *sizes[:-1]])
+    values = np.concatenate([values for values, _ in candidates])
+    masks = np.concatenate([masks for _, masks in candidates])
+    members = (masks[:, None] >> np.arange(n) & 1).astype(float)
+    lam = best_lam = np.zeros(n)
+    step, best = values.max() / 4, math.inf
+    for k in range(solver._PRICE_STEPS):
+        priced = values - members @ lam
+        top = np.maximum.reduceat(priced, starts)
+        bound = top.sum() + lam @ counts
+        if bound < best:
+            best, best_lam = bound, lam
+        hits = np.flatnonzero(priced == np.repeat(top, sizes))
+        g = counts - members[hits[np.searchsorted(hits, starts)]].sum(axis=0)
+        if not g.any():
+            break
+        lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(g @ g) * g)
+    return best_lam, np.split(members @ best_lam, starts[1:])
+
+
+def wide_instance(n: int) -> DistributionInstance:
+    """Six usable styles, the last three at positions n-3..n-1, for five stores.
+
+    The other n-6 styles need 60 units, more than any store's cap, so
+    no subset holds them. Each usable style's 16 units serve at most
+    four of the five stores, so supply binds.
+    """
+    usable = (0, 1, 2, n - 3, n - 2, n - 1)
+    x = np.zeros(n)
+    x[list(usable)] = (4.0, 6.0, 7.0, 0.0, 5.0, 10.0)
+    return DistributionInstance(
+        articles=tuple(
+            Article(f"a{i}", 16, 4) if i in usable else Article(f"a{i}", 60, 60) for i in range(n)
+        ),
+        stores=tuple(Store(f"s{t}", q) for t, q in enumerate((20, 16, 14, 18, 12))),
+        alpha=Fraction("0.2"),
+        distances=DistanceMatrix(np.subtract.outer(x, x) ** 2),
+    )
+
+
 class TestSolveExact:
     def test_line_of_four(self, line_instance):
         report = solve_exact(line_instance)
@@ -417,6 +469,38 @@ class TestSolveExact:
             assert np.array_equal(lam, again)
         # Without prices the root bound is 1689.319; the optimum is 1593.919.
         assert 1593.919 < priced_root_bound(demo_instance())[0] < 1594.11
+
+    def test_supply_prices_match_the_reduceat_loop(self):
+        # Bit for bit: the prices steer the search's pruning. The 8x6
+        # recipe is supply-free, so its prices are all zero.
+        instances = [demo_instance(), recipe_instance(8, 6, 0)]
+        instances += [recipe_instance(n, 12, seed) for n in (8, 10) for seed in range(5)]
+        priced = 0
+        for instance in instances:
+            candidates = solver._store_candidates(instance)
+            counts = instance.bounds[1] // instance.bounds[0]
+            lam, costs = solver._supply_prices(candidates, counts)
+            expected_lam, expected_costs = reduceat_supply_prices(candidates, counts)
+            assert lam.tobytes() == expected_lam.tobytes()
+            assert [cost.tobytes() for cost in costs] == [cost.tobytes() for cost in expected_costs]
+            priced += lam.any()
+        assert priced == len(instances) - 1
+
+    def test_articles_beyond_64_bits_of_mask(self):
+        # Article 65's bit does not fit an int64 mask, so the listing,
+        # the pricing and the leaves see Python-int masks. The same
+        # instance with its six usable styles alone must solve alike.
+        wide, narrow = wide_instance(66), wide_instance(6)
+        assert solver._store_candidates(wide)[0][1].dtype == object
+        limits = SolveLimits(max_patterns=None, time_budget=None)
+        report, expected = solve_exact(wide, limits), solve_exact(narrow, limits)
+        assert report.status is SolveStatus.OPTIMAL
+        assert report.iterations == expected.iterations == 5
+        assert report.objective == expected.objective == 220.95000000000002
+        usable = [0, 1, 2, 63, 64, 65]
+        assert report.plan.y[usable].tolist() == expected.plan.y.tolist()
+        assert not report.plan.y[3:63].any()
+        assert report.plan.y[63:].any(axis=1).all()
 
     def test_demo_optimum_and_tie_pick(self):
         # The demo has 16 optimal patterns; the smallest row-major y wins.
