@@ -101,9 +101,19 @@ class BigMPolicy(Enum):
         return _member_named(cls, name, "big_m_policy")
 
 
-# Largest magnitude of a parsed integer: flow capacities are 32-bit, and
+# Largest magnitude of an integer field: flow capacities are 32-bit, and
 # 64-bit sums of such values cannot wrap.
 _MAX_INT = 2**31 - 1
+
+# Each record kind's integer fields: the least value, the code a smaller
+# value gets and the reason its message adds.
+_INT_FIELDS = {
+    "article": {
+        "planned_total": (0, "negative_planned_total", ""),
+        "min_qty": (1, "min_qty_below_one", " so assignment indicators stay well-defined"),
+    },
+    "store": {"desired_qty": (1, "desired_qty_below_one", "")},
+}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -140,16 +150,15 @@ def _as_exact_fraction(value) -> Fraction:
 
 
 def _as_int(value, *, field_name: str) -> int:
+    """A parsed JSON integer; its range is left to ``validate_instance``."""
     if isinstance(value, bool):
         raise MalformedInputError(f"{field_name} must be an integer, got a boolean")
-    if not isinstance(value, int):
-        frac = _as_exact_fraction(value)
-        if frac.denominator != 1:
-            raise MalformedInputError(f"{field_name} must be an integer, got {value!r}")
-        value = int(frac)
-    if abs(value) > _MAX_INT:
-        raise MalformedInputError(f"{field_name}={value} must lie within +-{_MAX_INT}")
-    return value
+    if isinstance(value, int):
+        return value
+    frac = _as_exact_fraction(value)
+    if frac.denominator != 1:
+        raise MalformedInputError(f"{field_name} must be an integer, got {value!r}")
+    return int(frac)
 
 
 def _floats(values: list, message: str, *context) -> list[float]:
@@ -478,8 +487,8 @@ class DistributionInstance:
     @functools.cached_property
     def bounds(self) -> tuple[np.ndarray, ...]:
         """Read-only int64 ``(min_qty, planned, cap, lower, upper)``: article fields, then each
-        store's ``big_m``, ``lower_band`` and ``upper_band``. Built on first read, so an
-        invalid instance (alpha 10**400) still constructs and reaches validation."""
+        store's ``big_m``, ``lower_band`` and ``upper_band``, exact for any valid instance.
+        Built on first read, so an invalid one (alpha 10**400) still reaches validation."""
         stores = range(self.n_stores)
         columns = (
             [a.min_qty for a in self.articles],
@@ -506,8 +515,11 @@ class DistributionInstance:
 def validate_instance(instance: DistributionInstance) -> list[Violation]:
     """Check every instance invariant, returning one Violation per breach.
 
-    An empty list means the instance is valid. Nothing is raised here;
-    callers that need an exception should use ``ensure_valid``.
+    Each integer field, from a file or built in Python, must be an int
+    (not a bool, float or text) within +-(2**31 - 1) and at least its
+    least value in ``_INT_FIELDS``. An empty list means the instance is
+    valid. Nothing is raised here; callers that need an exception should
+    use ``ensure_valid``.
     """
     violations: list[Violation] = []
     alpha = instance.alpha
@@ -517,53 +529,28 @@ def validate_instance(instance: DistributionInstance) -> list[Violation]:
         violations.append(
             Violation("alpha_out_of_range", "alpha", f"alpha={shown} must lie in [0, 1)")
         )
-    seen_articles: set[str] = set()
-    for art in instance.articles:
-        if art.id in seen_articles:
-            violations.append(
-                Violation("duplicate_article_id", art.id, "article id repeats")
-            )
-        seen_articles.add(art.id)
-        if art.planned_total < 0:
-            violations.append(
-                Violation(
-                    "negative_planned_total",
-                    art.id,
-                    f"planned_total={art.planned_total} must be >= 0",
-                )
-            )
-        if art.min_qty < 1:
-            violations.append(
-                Violation(
-                    "min_qty_below_one",
-                    art.id,
-                    f"min_qty={art.min_qty} must be >= 1 so assignment "
-                    "indicators stay well-defined",
-                )
-            )
-        if art.min_qty > art.planned_total:
-            violations.append(
-                Violation(
-                    "min_exceeds_planned",
-                    art.id,
-                    f"min_qty={art.min_qty} exceeds planned_total={art.planned_total}",
-                )
-            )
-    seen_stores: set[str] = set()
-    for store in instance.stores:
-        if store.id in seen_stores:
-            violations.append(
-                Violation("duplicate_store_id", store.id, "store id repeats")
-            )
-        seen_stores.add(store.id)
-        if store.desired_qty < 1:
-            violations.append(
-                Violation(
-                    "desired_qty_below_one",
-                    store.id,
-                    f"desired_qty={store.desired_qty} must be >= 1",
-                )
-            )
+
+    for kind, records in (("article", instance.articles), ("store", instance.stores)):
+        seen: set[str] = set()
+        for record in records:
+            if record.id in seen:
+                violations.append(Violation(f"duplicate_{kind}_id", record.id, f"{kind} id repeats"))
+            seen.add(record.id)
+            in_range = True
+            for name, (least, code, reason) in _INT_FIELDS[kind].items():
+                value = getattr(record, name)
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+                    -_MAX_INT <= value <= _MAX_INT
+                ):
+                    message = f"{name}={value!r} must be an integer within +-{_MAX_INT}"
+                    violations.append(Violation("not_an_integer_in_range", record.id, message))
+                    in_range = False
+                elif value < least:
+                    message = f"{name}={value} must be >= {least}{reason}"
+                    violations.append(Violation(code, record.id, message))
+            if kind == "article" and in_range and record.min_qty > record.planned_total:
+                message = f"min_qty={record.min_qty} exceeds planned_total={record.planned_total}"
+                violations.append(Violation("min_exceeds_planned", record.id, message))
     if instance.distances.n != instance.n_articles:
         violations.append(
             Violation(
@@ -701,8 +688,9 @@ def load_instance(text: str, base_dir: str | os.PathLike | None = None) -> Distr
     numbers or n rows of n; ``base_dir`` anchors a relative ``catalog_ref``.
 
     Raises:
-        MalformedInputError: On structural problems. Semantic violations
-            are left to ``validate_instance``.
+        MalformedInputError: On structural problems, such as a quantity
+            that is not a whole number. Semantic violations, an integer
+            beyond +-(2**31 - 1) among them, are left to ``validate_instance``.
     """
     try:
         payload = json.loads(text, parse_float=str)

@@ -34,6 +34,7 @@ from .solver import (
     HeuristicConfig,
     SolveReport,
     _construct,
+    _count,
     _repair,
     _SearchState,
     auto_mode,
@@ -83,7 +84,8 @@ class LinearityConfig:
     """Settings for the subset-size sweep.
 
     population holds the distances between the styles subsets are drawn
-    from, e.g. ``distance_matrix(catalog, metric)``.
+    from, e.g. ``distance_matrix(catalog, metric)``. A non-integer size
+    or repetition count raises ValueError.
     """
 
     population: DistanceMatrix
@@ -92,14 +94,14 @@ class LinearityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "subset_sizes", tuple(int(k) for k in self.subset_sizes))
+        object.__setattr__(self, "subset_sizes", tuple(_count(k, "subset sizes") for k in self.subset_sizes))
         if not self.subset_sizes:
             raise ValueError("subset_sizes must be non-empty")
         if min(self.subset_sizes) < 1:
             raise ValueError("subset sizes must be at least 1")
         if len(set(self.subset_sizes)) < len(self.subset_sizes):
             raise ValueError(f"subset sizes must not repeat, got {list(self.subset_sizes)}")
-        if self.repetitions < 1:
+        if _count(self.repetitions, "repetitions") < 1:
             raise ValueError("repetitions must be at least 1")
 
 

@@ -147,26 +147,26 @@ def _subject_to(instance: DistributionInstance) -> Iterator[str]:
     y = [[var_y(i, t) for t in range(s)] for i in range(n)]
     u = [[var_u(i, t) for t in range(s)] for i in range(n)]
     r = [var_r(t) for t in range(s)]
+    mins, planned, caps, lowers, uppers = (bound.tolist() for bound in instance.bounds)
 
-    def column_sum(family: str, names: list[list[str]], sense: str, rhs) -> str:
+    def column_sum(family: str, names: list[list[str]], sense: str, rhs: list[int]) -> str:
         return "".join(
-            _row(f"{family}_{t}", [f"+ {names[i][t]}" for i in range(n)], sense, rhs(t))
+            _row(f"{family}_{t}", [f"+ {names[i][t]}" for i in range(n)], sense, rhs[t])
             for t in range(s)
         )
 
-    yield column_sum("store_ub", x, "<=", instance.upper_band)
-    yield column_sum("store_lb", x, ">=", instance.lower_band)
+    yield column_sum("store_ub", x, "<=", uppers)
+    yield column_sum("store_lb", x, ">=", lowers)
     yield "".join(
-        _row(f"resource_{i}", [f"+ {name}" for name in x[i]], "<=", article.planned_total)
-        for i, article in enumerate(instance.articles)
+        _row(f"resource_{i}", [f"+ {name}" for name in x[i]], "<=", planned[i]) for i in range(n)
     )
-    for i, article in enumerate(instance.articles):
-        m = _coef(-article.min_qty)
-        yield "".join(f" min_qty_{i}_{t}: {x[i][t]} {m}{y[i][t]} >= 0\n" for t in range(s))
-    caps = [_coef(-instance.big_m(t)) for t in range(s)]
     for i in range(n):
-        yield "".join(f" cap_{i}_{t}: {x[i][t]} {caps[t]}{y[i][t]} <= 0\n" for t in range(s))
-    yield column_sum("min_styles", y, ">=", lambda t: 2)
+        m = _coef(-mins[i])
+        yield "".join(f" min_qty_{i}_{t}: {x[i][t]} {m}{y[i][t]} >= 0\n" for t in range(s))
+    cap_terms = [_coef(-cap) for cap in caps]
+    for i in range(n):
+        yield "".join(f" cap_{i}_{t}: {x[i][t]} {cap_terms[t]}{y[i][t]} <= 0\n" for t in range(s))
+    yield column_sum("min_styles", y, ">=", [2] * s)
 
     for i in range(n):
         yield "".join(f" u_lb_{i}_{t}: {u[i][t]} - {r[t]} - {y[i][t]} >= -1\n" for t in range(s))
@@ -174,7 +174,7 @@ def _subject_to(instance: DistributionInstance) -> Iterator[str]:
         yield "".join(f" u_le_r_{i}_{t}: {u[i][t]} - {r[t]} <= 0\n" for t in range(s))
     for i in range(n):
         yield "".join(f" u_le_y_{i}_{t}: {u[i][t]} - {y[i][t]} <= 0\n" for t in range(s))
-    yield column_sum("u_sum", u, "=", lambda t: 1)
+    yield column_sum("u_sum", u, "=", [1] * s)
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -129,21 +130,29 @@ class SolveStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
+def _count(value, name: str) -> int:
+    """A config count as an int; a float, text or other non-integer raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SolveLimits:
     """Budgets for the exact solver.
 
     max_patterns bounds the number of complete patterns whose quantities
     are checked; time_budget (seconds) bounds wall time. Either may be
-    None for no limit; a negative value, or a NaN time_budget, raises
-    ValueError.
+    None for no limit; a negative value, a non-integer max_patterns or a
+    NaN time_budget raises ValueError.
     """
 
     max_patterns: int | None = 1_000_000
     time_budget: float | None = 60.0
 
     def __post_init__(self):
-        if self.max_patterns is not None and self.max_patterns < 0:
+        if self.max_patterns is not None and _count(self.max_patterns, "max_patterns") < 0:
             raise ValueError(f"max_patterns must be at least 0, got {self.max_patterns}")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be at least 0, got {self.time_budget}")
@@ -154,8 +163,8 @@ class HeuristicConfig:
     """Settings for the heuristic.
 
     max_iters caps accepted local-search moves (0 skips the polish);
-    restarts is the number of construction attempts. A negative
-    max_iters or fewer than one restart raises ValueError.
+    restarts is the number of construction attempts. A non-integer
+    count, a negative max_iters or fewer than one restart raises ValueError.
     """
 
     seed: int = 0
@@ -163,9 +172,9 @@ class HeuristicConfig:
     restarts: int = 16
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        if _count(self.max_iters, "max_iters") < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
-        if self.restarts < 1:
+        if _count(self.restarts, "restarts") < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
 
@@ -243,7 +252,7 @@ def plan_from_quantities(instance: DistributionInstance, x: np.ndarray) -> Distr
 
 
 def plan_violations(instance: DistributionInstance, plan: DistributionPlan) -> list[Violation]:
-    """All constraint breaches of a plan against an instance."""
+    """All constraint breaches of a plan against a valid instance."""
     violations: list[Violation] = []
     if plan.n_articles != instance.n_articles or plan.n_stores != instance.n_stores:
         violations.append(
@@ -256,6 +265,7 @@ def plan_violations(instance: DistributionInstance, plan: DistributionPlan) -> l
         )
         return violations
     x, y = plan.x, plan.y
+    mins, planned, caps, lowers, uppers = (bound.tolist() for bound in instance.bounds)
     for t in range(instance.n_stores):
         count = int(y[:, t].sum())
         if count < 2:
@@ -267,44 +277,40 @@ def plan_violations(instance: DistributionInstance, plan: DistributionPlan) -> l
                 )
             )
         total = int(x[:, t].sum())
-        lb, ub = instance.lower_band(t), instance.upper_band(t)
-        if not (lb <= total <= ub):
+        if not (lowers[t] <= total <= uppers[t]):
             violations.append(
                 Violation(
                     "store_band",
                     instance.stores[t].id,
-                    f"store total {total} outside [{lb}, {ub}]",
+                    f"store total {total} outside [{lowers[t]}, {uppers[t]}]",
                 )
             )
-        cap_t = instance.big_m(t)
         for i in range(instance.n_articles):
             if y[i, t]:
-                if x[i, t] < instance.articles[i].min_qty:
+                if x[i, t] < mins[i]:
                     violations.append(
                         Violation(
                             "below_min_qty",
                             f"{instance.articles[i].id}@{instance.stores[t].id}",
-                            f"shipment {int(x[i, t])} below minimum "
-                            f"{instance.articles[i].min_qty}",
+                            f"shipment {int(x[i, t])} below minimum {mins[i]}",
                         )
                     )
-                if x[i, t] > cap_t:
+                if x[i, t] > caps[t]:
                     violations.append(
                         Violation(
                             "above_cap",
                             f"{instance.articles[i].id}@{instance.stores[t].id}",
-                            f"shipment {int(x[i, t])} above cap {cap_t}",
+                            f"shipment {int(x[i, t])} above cap {caps[t]}",
                         )
                     )
     for i in range(instance.n_articles):
         shipped = int(x[i].sum())
-        if shipped > instance.articles[i].planned_total:
+        if shipped > planned[i]:
             violations.append(
                 Violation(
                     "planned_total_exceeded",
                     instance.articles[i].id,
-                    f"shipped {shipped} exceeds planned total "
-                    f"{instance.articles[i].planned_total}",
+                    f"shipped {shipped} exceeds planned total {planned[i]}",
                 )
             )
     expected = _store_varieties(instance, y)

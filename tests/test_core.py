@@ -356,6 +356,27 @@ class TestValidation:
         codes = [v.code for v in validate_instance(bad)]
         assert "distance_size_mismatch" in codes
 
+    @pytest.mark.parametrize(
+        "record, field_name, value",
+        [
+            ("stores", "desired_qty", 10**19),
+            ("stores", "desired_qty", 3 * 10**9),
+            ("stores", "desired_qty", -(2**31)),
+            ("articles", "planned_total", 16.9),
+            ("articles", "planned_total", "16"),
+            ("articles", "planned_total", True),
+            ("articles", "min_qty", np.int64(2**40)),
+        ],
+    )
+    def test_integer_fields_must_be_ints_within_32_bits(self, record, field_name, value):
+        # An instance built in Python meets the same rule as a parsed file.
+        base = self.base_instance()
+        first = dataclasses.replace(getattr(base, record)[0], **{field_name: value})
+        bad = self.base_instance(**{record: (first, *getattr(base, record)[1:])})
+        [violation] = validate_instance(bad)
+        assert (violation.code, violation.subject) == ("not_an_integer_in_range", first.id)
+        assert violation.message == f"{field_name}={value!r} must be an integer within +-2147483647"
+
     def test_ensure_valid_raises_with_all_violations(self):
         bad = self.base_instance(
             alpha=Fraction(2),
@@ -451,12 +472,13 @@ class TestInstanceIO:
             load_instance(json.dumps(doc))
 
     def test_quantity_beyond_32_bits_rejected(self):
+        # The range is a validation rule: the file loads and then fails it.
         doc = self.demo_doc()
         doc["stores"][0]["desired_qty"] = 2**31 - 1
-        load_instance(json.dumps(doc))
+        assert validate_instance(load_instance(json.dumps(doc))) == []
         doc["stores"][0]["desired_qty"] = 2**31
-        with pytest.raises(MalformedInputError, match="desired_qty"):
-            load_instance(json.dumps(doc))
+        [violation] = validate_instance(load_instance(json.dumps(doc)))
+        assert (violation.code, violation.subject) == ("not_an_integer_in_range", "s0")
 
     def test_non_integer_quantity_rejected(self):
         doc = self.demo_doc()

@@ -103,6 +103,8 @@ class TestRunLinearity:
             ((0, 2), 10, "subset sizes must be at least 1"),
             ((2,), 0, "repetitions must be at least 1"),
             ((2, 3, 2), 10, r"subset sizes must not repeat, got \[2, 3, 2\]"),
+            ((2.5, 3.9), 10, "subset sizes must be an integer, got 2.5"),
+            ((2,), 2.5, "repetitions must be an integer, got 2.5"),
         ],
     )
     def test_invalid_config_rejected(self, sizes, reps, message):

@@ -1,7 +1,7 @@
 """Source hygiene: every module uses each name it imports and has each
 name it exports, each public name has one import path, every private
-module-level name has a user, and the solvers read an instance's bounds
-table instead of its band methods."""
+module-level name has a user, only ``core`` reads an instance's band
+methods and only ``validate_instance`` reads the integer range."""
 
 import ast
 import importlib
@@ -132,9 +132,6 @@ def _readers(tree: ast.Module, attrs: set[str]):
 
 
 def test_solvers_read_the_bounds_table_not_the_band_methods():
-    # The LP text and the plan check also take bands beyond int64, which
-    # the instance's bounds table cannot hold.
-    allowed = {"lp._subject_to", "solver.plan_violations"}
     readers = {
         f"{path.stem}.{name}"
         for path in MODULES
@@ -143,4 +140,20 @@ def test_solvers_read_the_bounds_table_not_the_band_methods():
             ast.parse(path.read_text(encoding="utf-8")), {"lower_band", "upper_band", "big_m"}
         )
     }
-    assert readers <= allowed, f"band methods read outside core: {sorted(readers - allowed)}"
+    assert readers == set(), f"band methods read outside core: {sorted(readers)}"
+
+
+def test_the_integer_range_has_one_owner():
+    # validate_instance states the +-(2**31 - 1) rule; a second reader
+    # would be a second copy of it.
+    tree = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    readers = [
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        if any(
+            isinstance(sub, ast.Name) and sub.id == "_MAX_INT" and isinstance(sub.ctx, ast.Load)
+            for sub in ast.walk(node)
+        )
+    ]
+    others = [p.stem for p in MODULES if p.stem != "core" and "_MAX_INT" in p.read_text(encoding="utf-8")]
+    assert readers == ["validate_instance"] and others == [], (readers, others)

@@ -1,6 +1,7 @@
 """Quantity feasibility, exact search, and the heuristic."""
 
 import contextlib
+import io
 import math
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from stylemix.errors import (
     InfeasiblePlanError,
     MalformedInputError,
     TooFewStylesError,
+    ValidationError,
 )
 from stylemix import solver
 from stylemix.experiments import (
@@ -36,6 +38,7 @@ from stylemix.experiments import (
     synthetic_population,
 )
 from stylemix.flow import CutCertificate, EdgeCertificate
+from stylemix.lp import export_lp
 from stylemix.solver import (
     AssignmentPattern,
     HeuristicConfig,
@@ -628,14 +631,17 @@ class TestSolveExact:
         assert time.perf_counter() - started < 2.5
 
     def test_capacity_above_32_bits_raises(self):
-        # The split proves the only pattern feasible; the flow call that
-        # finds the winner's quantities still rejects its capacities.
+        # Every field is valid at 2**31 - 1, yet the sink's balance adds two
+        # lower bands (about 3.4e9). The split proves the pattern feasible;
+        # the flow call that finds the winner's quantities rejects it.
+        big = 2**31 - 1
         inst = DistributionInstance(
-            articles=(Article("a0", 2_000_000_000, 1), Article("a1", 2_000_000_000, 1)),
-            stores=(Store("s0", 3_000_000_000),),
+            articles=(Article("a0", big, 1), Article("a1", big, 1)),
+            stores=(Store("s0", big), Store("s1", big)),
             alpha=Fraction("0.2"),
             distances=DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
         )
+        assert validate_instance(inst) == []
         with pytest.raises(ValueError, match="flow capacities exceed 2147483647"):
             solve_exact(inst)
 
@@ -778,6 +784,39 @@ class TestSolveHeuristic:
         assert report.iterations == 1
         assert report.plan.y.tolist() == [[1], [1], [0]]
         assert report.objective == pytest.approx(5.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "overrides, run",
+        [
+            (dict(stores=(Store("s0", 10**19), Store("s1", 5))), solve_exact),
+            (dict(stores=(Store("s0", 10**19), Store("s1", 5))), solve_heuristic),
+            (dict(stores=(Store("s0", 3 * 10**9), Store("s1", 5))), solve_exact),
+            (dict(articles=(Article("a0", 16.9, 1), Article("a1", 16, 1))), solve_exact),
+            (
+                dict(articles=(Article("a0", 16.9, 1), Article("a1", 16, 1))),
+                lambda inst: export_lp(inst, io.StringIO()),
+            ),
+        ],
+    )
+    def test_integer_beyond_its_rule_is_a_validation_error(self, overrides, run):
+        # A Python-built instance is held to the rule a parsed file meets,
+        # so no solve overflows or truncates the value it was given.
+        with pytest.raises(ValidationError, match="not_an_integer_in_range"):
+            run(two_article_instance(**overrides))
+
+    @pytest.mark.parametrize(
+        "config, field_name",
+        [
+            (lambda: HeuristicConfig(max_iters=2.5), "max_iters"),
+            (lambda: HeuristicConfig(restarts=2.5), "restarts"),
+            (lambda: SolveLimits(max_patterns=2.5), "max_patterns"),
+        ],
+    )
+    def test_non_integer_count_rejected(self, config, field_name):
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer, got 2.5"):
+            config()
 
 
 class TestPlanChecks:
