@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatchError,
@@ -415,8 +414,20 @@ def distance_matrix(
         DistanceMatrix with entries[i][j] = metric(v_i, v_j).
     """
     cat = catalog.normalized() if normalize else catalog
-    name = "sqeuclidean" if metric is Metric.SQUARED_EUCLIDEAN else "euclidean"
-    d = cdist(cat.vectors, cat.vectors, metric=name)
+    # scipy's cdist bit for bit: reducing over the outer (feature) axis sums
+    # (u_k - v_k)**2 in feature order. Blocks of rows (about 2**15 cells) fill
+    # the upper triangle, mirrored since (a-b)**2 == (b-a)**2.
+    cols = np.ascontiguousarray(cat.vectors.T)
+    dim, n = cols.shape
+    d = np.empty((n, n))
+    step = max(1, 2**15 // (dim * n))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf, rejected below
+        for lo in range(0, n, step):
+            diff = cols[:, lo : lo + step, None] - cols[:, None, lo:]
+            np.add.reduce(np.square(diff, out=diff), axis=0, out=d[lo : lo + step, lo:])
+            d[lo + step :, lo : lo + step] = d[lo : lo + step, lo + step :].T
+        if metric is Metric.EUCLIDEAN:
+            np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d)
 
@@ -542,7 +553,9 @@ def validate_instance(instance: DistributionInstance) -> list[Violation]:
                 if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
                     -_MAX_INT <= value <= _MAX_INT
                 ):
-                    message = f"{name}={value!r} must be an integer within +-{_MAX_INT}"
+                    big = isinstance(value, int) and value.bit_length() > 64  # repr may raise
+                    shown = f"<{value.bit_length()}-bit int>" if big else repr(value)
+                    message = f"{name}={shown} must be an integer within +-{_MAX_INT}"
                     violations.append(Violation("not_an_integer_in_range", record.id, message))
                     in_range = False
                 elif value < least:

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .core import DistributionInstance
 
@@ -135,6 +133,10 @@ def feasible_circulation(instance: DistributionInstance, y: np.ndarray) -> Quant
         ValueError: A negative planned total or assigned min_qty, an
             invalid store band, or capacities above 2**31 - 1 after capping.
     """
+    # scipy.sparse costs most of a cold CLI start; only this check needs it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
     n, s = y.shape
     min_qty, planned, cap, lower, upper = (bound.tolist() for bound in instance.bounds)
     pairs = [(i, t) for t in range(s) for i in np.flatnonzero(y[:, t]).tolist()]

@@ -380,6 +380,15 @@ class TestSolve:
         assert main(["solve", "--instance", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_integer_past_4300_digits_is_a_validation_error(self, tmp_path, capsys):
+        # JSON reads 1e5000 as the int 10**5000, whose repr raises ValueError.
+        text = json.dumps(_line_payload_with(("stores", 0, "desired_qty"), "HUGE"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"HUGE"', "1e5000"), encoding="utf-8")
+        assert main(["solve", "--instance", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "[not_an_integer_in_range] s0: desired_qty=<16610-bit int> must be" in err
+
     def test_non_string_metric_exits_2(self, catalog_path, capsys):
         distances = {"catalog_ref": catalog_path.name, "metric": ["euclidean"]}
         bad = catalog_path.parent / "bad.json"
@@ -663,6 +672,18 @@ def _run_cli(argv, env_extra=None):
     )
 
 
+def _scipy_loaded(argv):
+    """scipy modules loaded in a fresh interpreter that imports the CLI and
+    then, unless ``argv`` is None, runs ``main(argv)``."""
+    probe = "import json, sys\nfrom stylemix.cli import main\n"
+    if argv is not None:
+        probe += f"assert main({argv!r}) == 0\n"
+    probe += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 class TestSubprocess:
     def test_module_entry_point_help(self):
         result = _run_cli(["--help"])
@@ -673,11 +694,33 @@ class TestSubprocess:
         result = _run_cli([])
         assert result.returncode == 2
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # Only the linearity study needs scipy.stats, and it is slow to import.
-        code = "import stylemix.cli, sys; assert 'scipy.stats' not in sys.modules"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
-        assert result.returncode == 0, result.stderr.decode()
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is most of a cold start; only the flow check and the
+        # linearity study import it, on first use.
+        assert _scipy_loaded(None) == []
+
+    @pytest.mark.parametrize("command", ["export-lp", "distances"])
+    def test_command_loads_no_scipy(self, command, demo_path, catalog_path, tmp_path):
+        flag, path = ("--instance", demo_path) if command == "export-lp" else ("--catalog", catalog_path)
+        assert _scipy_loaded([command, flag, str(path), "--output", str(tmp_path / "out")]) == []
+
+    def test_solve_loads_scipy_sparse_for_the_flow_check(self, demo_path, tmp_path):
+        out = str(tmp_path / "out")
+        loaded = _scipy_loaded(["solve", "--instance", str(demo_path), "--mode", "exact", "--output", out])
+        assert "scipy.sparse.csgraph" in loaded
+        assert not {"scipy.spatial", "scipy.stats"} & set(loaded)
+
+    def test_overflowing_distances_exit_2_without_a_warning(self, tmp_path):
+        catalog = tmp_path / "huge.csv"
+        catalog.write_text("a0,1e200,0\na1,-1e200,1\na2,0,2\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stylemix"]
+            + ["distances", "--catalog", str(catalog)],
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr == b"error: distance matrix has non-finite entries\n"
 
     def test_solve_bytes_identical_across_runs(self, demo_path, tmp_path):
         outs = []

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from stylemix.core import (
     Article,
@@ -159,6 +161,34 @@ class TestDistanceComputation:
             assert np.array_equal(d, d.T)
             assert np.all(np.diag(d) == 0.0)
             assert np.all(d >= 0.0)
+
+    def test_matches_scipy_cdist_bit_for_bit(self):
+        # cdist sums (u_k - v_k)**2 in feature order; a pairwise or
+        # reordered sum differs in the last bits. Sizes cross the row blocks
+        # and the per-feature scales make the order matter.
+        rng = np.random.default_rng(26)
+        cases = [(1, 1), (2, 300), (130, 1), (130, 300), (129, 254)]
+        cases += [(int(rng.integers(1, 131)), int(rng.integers(1, 301))) for _ in range(55)]
+        names = {Metric.SQUARED_EUCLIDEAN: "sqeuclidean", Metric.EUCLIDEAN: "euclidean"}
+        for n, dim in cases:
+            scales = 10.0 ** rng.uniform(-6, 6) * 10.0 ** rng.uniform(-2, 2, size=dim)
+            vectors = rng.normal(size=(n, dim)) * scales
+            cat = FeatureCatalog(tuple(f"s{i}" for i in range(n)), vectors)
+            for metric, name in names.items():
+                for normalize in (False, True):
+                    vectors = (cat.normalized() if normalize else cat).vectors
+                    expected = cdist(vectors, vectors, metric=name)
+                    np.fill_diagonal(expected, 0.0)
+                    got = distance_matrix(cat, metric, normalize=normalize).entries
+                    assert got.tobytes() == expected.tobytes(), (n, dim, metric, normalize)
+
+    def test_overflow_raises_without_a_warning(self):
+        cat = FeatureCatalog(("a", "b"), np.array([[1e200, 0.0], [-1e200, 1.0]]))
+        for metric in Metric:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValueError, match="non-finite entries"):
+                    distance_matrix(cat, metric)
 
     def test_squared_is_square_of_euclidean(self):
         rng = np.random.default_rng(5)
@@ -376,6 +406,14 @@ class TestValidation:
         [violation] = validate_instance(bad)
         assert (violation.code, violation.subject) == ("not_an_integer_in_range", first.id)
         assert violation.message == f"{field_name}={value!r} must be an integer within +-2147483647"
+
+    def test_integer_past_4300_digits_is_a_violation(self):
+        # repr(10**5000) raises ValueError; validation must not.
+        base = self.base_instance()
+        first = dataclasses.replace(base.stores[0], desired_qty=10**5000)
+        [violation] = validate_instance(self.base_instance(stores=(first, *base.stores[1:])))
+        assert (violation.code, violation.subject) == ("not_an_integer_in_range", first.id)
+        assert violation.message == "desired_qty=<16610-bit int> must be an integer within +-2147483647"
 
     def test_ensure_valid_raises_with_all_violations(self):
         bad = self.base_instance(

@@ -1,7 +1,8 @@
 """Source hygiene: every module uses each name it imports and has each
 name it exports, each public name has one import path, every private
 module-level name has a user, only ``core`` reads an instance's band
-methods and only ``validate_instance`` reads the integer range."""
+methods, only ``validate_instance`` reads the integer range and no
+module imports scipy when it loads."""
 
 import ast
 import importlib
@@ -157,3 +158,23 @@ def test_the_integer_range_has_one_owner():
     ]
     others = [p.stem for p in MODULES if p.stem != "core" and "_MAX_INT" in p.read_text(encoding="utf-8")]
     assert readers == ["validate_instance"] and others == [], (readers, others)
+
+
+def _load_time_nodes(node: ast.AST):
+    """Every node that runs when its module loads: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _load_time_nodes(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_scipy_is_imported_only_where_it_is_used(path):
+    # scipy is most of a cold CLI start, so it loads on first use.
+    found = [
+        node.lineno
+        for node in _load_time_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == [], f"{path.name} imports scipy at load time on lines {found}"
