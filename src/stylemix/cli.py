@@ -39,7 +39,6 @@ from .errors import (
     InfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
-    PopulationTooSmallError,
     StylemixError,
     VerificationError,
 )
@@ -212,7 +211,7 @@ def _parse_sizes(spec: str, population: int) -> tuple[int, ...]:
             raise MalformedInputError(f"empty size range {spec!r}")
         # Checked before the range is listed, which may not fit in memory.
         if hi > population:
-            raise PopulationTooSmallError(
+            raise MalformedInputError(
                 f"population has {population} styles but a subset of {hi} was requested"
             )
         return tuple(range(lo, hi + 1))

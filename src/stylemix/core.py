@@ -2,10 +2,10 @@
 
 Everything here is immutable after construction and safe to share across
 threads; an instance computes its ``bounds`` once, on first read. Parsing
-is strict: malformed input raises a specific ``CatalogError`` subclass (or
-``MalformedInputError`` for instances) naming the offending row or field,
-while semantic problems with an otherwise well-formed instance are
-reported by ``validate_instance`` as a list of ``Violation`` records.
+is strict: malformed input raises ``MalformedInputError`` naming the
+offending row or field, while semantic problems with an otherwise
+well-formed instance are reported by ``validate_instance`` as a list of
+``Violation`` records.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateIdError,
-    MalformedInputError,
-    NonFiniteValueError,
-    ValidationError,
-    Violation,
-)
+from .errors import MalformedInputError, ValidationError, Violation
 
 __all__ = [
     "Metric",
@@ -200,11 +193,11 @@ class FeatureCatalog:
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"vectors must form a 2-D array, got {vectors.ndim} dimensions"
             )
         if vectors.shape[0] != len(self.ids):
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"{len(self.ids)} ids but {vectors.shape[0]} vectors"
             )
         if len(self.ids) == 0:
@@ -216,11 +209,11 @@ class FeatureCatalog:
             if not sid:
                 raise MalformedInputError("style id must be non-empty")
             if sid in seen:
-                raise DuplicateIdError(f"duplicate style id {sid!r}")
+                raise MalformedInputError(f"duplicate style id {sid!r}")
             seen.add(sid)
         if not np.all(np.isfinite(vectors)):
             bad = int(np.argwhere(~np.isfinite(vectors))[0][0])
-            raise NonFiniteValueError(
+            raise MalformedInputError(
                 f"style {self.ids[bad]!r} has a non-finite vector entry"
             )
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -240,14 +233,19 @@ class FeatureCatalog:
         return int(self.vectors.shape[1])
 
     def normalized(self) -> "FeatureCatalog":
-        """Return a copy with every vector scaled to unit L2 norm."""
-        norms = np.linalg.norm(self.vectors, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise NonFiniteValueError(
-                f"style {self.ids[int(zero[0])]!r} has a zero vector and "
-                "cannot be normalized"
-            )
+        """Return a copy with every vector scaled to unit L2 norm.
+
+        Raises:
+            MalformedInputError: A style's norm is zero, or overflows or
+                underflows to a value the division cannot use.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.vectors, axis=1)
+        bad = np.nonzero(~(np.isfinite(norms) & (norms > 0.0)))[0]
+        if bad.size:
+            i = int(bad[0])
+            what = "an L2 norm that cannot be represented" if self.vectors[i].any() else "a zero vector"
+            raise MalformedInputError(f"style {self.ids[i]!r} has {what} and cannot be normalized")
         return FeatureCatalog(self.ids, self.vectors / norms[:, None])
 
     def to_csv(self) -> str:
@@ -276,7 +274,7 @@ def _catalog_from_rows(rows: Iterable[tuple[str, list]]) -> FeatureCatalog:
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"row {sid!r} has {len(values)} entries, expected {dim}"
             )
         ids.append(sid)
@@ -352,11 +350,11 @@ class DistanceMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"distance matrix must be square, got shape {entries.shape}"
             )
         if not np.all(np.isfinite(entries)):
-            raise NonFiniteValueError("distance matrix has non-finite entries")
+            raise MalformedInputError("distance matrix has non-finite entries")
         if np.any(entries < 0):
             raise MalformedInputError("distance matrix has negative entries")
         if np.any(np.diagonal(entries) != 0):
@@ -378,7 +376,7 @@ class DistanceMatrix:
     def from_flat(cls, n: int, entries: Sequence[float]) -> "DistanceMatrix":
         values = np.asarray(list(entries), dtype=np.float64)
         if values.size != n * n:
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"expected {n * n} row-major entries, got {values.size}"
             )
         return cls(values.reshape(n, n))
@@ -601,12 +599,12 @@ class DistributionPlan:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.int64)
         if x.ndim != 2:
-            raise DimensionMismatchError(f"x must be a 2-D array, got shape {x.shape}")
+            raise MalformedInputError(f"x must be a 2-D array, got shape {x.shape}")
         if np.any(x < 0):
             raise MalformedInputError("shipment quantities must be non-negative")
         varieties = tuple(float(v) for v in self.per_store_variety)
         if len(varieties) != x.shape[1]:
-            raise DimensionMismatchError(
+            raise MalformedInputError(
                 f"{len(varieties)} variety values for {x.shape[1]} stores"
             )
         object.__setattr__(self, "x", _readonly(x))

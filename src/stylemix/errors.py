@@ -9,36 +9,8 @@ class StylemixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CatalogError(StylemixError):
-    """Base class for catalog parsing and validation failures."""
-
-
-class MalformedInputError(CatalogError):
-    """Input text could not be parsed into the expected shape."""
-
-
-class DuplicateIdError(CatalogError):
-    """Two records share the same identifier."""
-
-
-class DimensionMismatchError(CatalogError):
-    """Feature vectors (or matrix rows) do not all have the same length."""
-
-
-class NonFiniteValueError(CatalogError):
-    """A numeric entry is NaN or infinite."""
-
-
-class EmptySubsetError(StylemixError):
-    """A variety measure was asked to score an empty index collection."""
-
-
-class SubsetIndexError(StylemixError, IndexError):
-    """A subset refers to an index outside the distance matrix."""
-
-
-class TooFewStylesError(StylemixError):
-    """An assignment pattern gives some store fewer than two styles."""
+class MalformedInputError(StylemixError):
+    """An input (text, matrix, pattern, subset or size) is malformed or out of range."""
 
 
 class ValidationError(StylemixError):
@@ -81,10 +53,6 @@ class BudgetExceededError(StylemixError):
 
 class VerificationError(StylemixError):
     """A built-in self-check produced an unexpected verdict."""
-
-
-class PopulationTooSmallError(StylemixError):
-    """The sampling population has fewer styles than a requested subset."""
 
 
 @dataclass(frozen=True)

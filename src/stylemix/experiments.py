@@ -29,7 +29,7 @@ from .core import (
     distance_matrix,
     ensure_valid,
 )
-from .errors import InfeasibleError, PopulationTooSmallError, VerificationError
+from .errors import InfeasibleError, MalformedInputError, VerificationError
 from .solver import (
     HeuristicConfig,
     SolveReport,
@@ -191,7 +191,7 @@ def run_linearity(config: LinearityConfig) -> ExperimentReport:
     are independent regardless of evaluation order.
 
     Raises:
-        PopulationTooSmallError: A requested size exceeds the population.
+        MalformedInputError: A requested size exceeds the population.
     """
     # scipy.stats costs about half of importing the CLI, and only this uses it.
     from scipy.stats import spearmanr
@@ -199,7 +199,7 @@ def run_linearity(config: LinearityConfig) -> ExperimentReport:
     d = config.population
     n = d.n
     if max(config.subset_sizes) > n:
-        raise PopulationTooSmallError(
+        raise MalformedInputError(
             f"population has {n} styles but a subset of "
             f"{max(config.subset_sizes)} was requested"
         )

@@ -49,11 +49,9 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     InfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
-    TooFewStylesError,
     Violation,
 )
 from .flow import QuantityResult, feasible_circulation, split_feasible
@@ -85,7 +83,7 @@ class AssignmentPattern:
     """Binary article-by-store assignment matrix.
 
     Every store must be assigned at least two distinct styles; the
-    constructor rejects anything else.
+    constructor raises ``MalformedInputError`` for anything else.
     """
 
     y: np.ndarray
@@ -93,13 +91,13 @@ class AssignmentPattern:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=np.int8)
         if y.ndim != 2:
-            raise DimensionMismatchError("pattern must be a 2-D matrix")
+            raise MalformedInputError("pattern must be a 2-D matrix")
         if not np.all((y == 0) | (y == 1)):
             raise MalformedInputError("pattern entries must be 0 or 1")
         counts = y.sum(axis=0)
         short = np.nonzero(counts < 2)[0]
         if short.size:
-            raise TooFewStylesError(
+            raise MalformedInputError(
                 f"store {int(short[0])} is assigned {int(counts[short[0]])} "
                 "styles; every store needs at least 2"
             )
@@ -227,7 +225,7 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
         ValueError: Bounds that ``flow.feasible_circulation`` rejects.
     """
     if pattern.n_articles != instance.n_articles or pattern.n_stores != instance.n_stores:
-        raise DimensionMismatchError(
+        raise MalformedInputError(
             f"pattern is {pattern.n_articles}x{pattern.n_stores} but the instance "
             f"has {instance.n_articles} articles and {instance.n_stores} stores"
         )

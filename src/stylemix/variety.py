@@ -18,6 +18,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -25,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DistanceMatrix
-from .errors import EmptySubsetError, SubsetIndexError
+from .errors import MalformedInputError
 
 __all__ = [
     "VarietyMeasure",
@@ -46,13 +47,23 @@ class VarietyMeasure(Enum):
     MAX_MEAN = "max_mean"
 
 
+def _index(i) -> int:
+    """i as an int; a bool, float, text or other non-integer raises."""
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise MalformedInputError(f"index {i!r} is not an integer")
+
+
 def _validated_indices(subset: Iterable[int], n: int) -> np.ndarray:
-    idx = sorted({int(i) for i in subset})
+    idx = sorted({_index(i) for i in subset})
     if not idx:
-        raise EmptySubsetError("variety is undefined for an empty subset")
+        raise MalformedInputError("variety is undefined for an empty subset")
     if idx[0] < 0 or idx[-1] >= n:
         bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise SubsetIndexError(f"index {bad} outside [0, {n})")
+        raise MalformedInputError(f"index {bad} outside [0, {n})")
     return np.asarray(idx, dtype=np.intp)
 
 
@@ -68,8 +79,8 @@ def variety(measure: VarietyMeasure, subset: Iterable[int], d: DistanceMatrix) -
         The measure value; 0.0 for any singleton.
 
     Raises:
-        EmptySubsetError: The subset is empty.
-        SubsetIndexError: An index falls outside the matrix.
+        MalformedInputError: The subset is empty, or an index is not an
+            int or falls outside the matrix.
     """
     idx = _validated_indices(subset, d.n)
     k = idx.size
@@ -112,14 +123,15 @@ def check_monotonicity(
     minus a 1e-12 absolute tolerance.
 
     Raises:
-        SubsetIndexError: ``added`` is out of range or already present.
+        MalformedInputError: An index is not an int or is out of range, or
+            ``added`` is already present.
     """
     idx = _validated_indices(subset, d.n)
-    a = int(added)
+    a = _index(added)
     if a < 0 or a >= d.n:
-        raise SubsetIndexError(f"index {a} outside [0, {d.n})")
+        raise MalformedInputError(f"index {a} outside [0, {d.n})")
     if a in idx:
-        raise SubsetIndexError(f"added index {a} is already in the subset")
+        raise MalformedInputError(f"added index {a} is already in the subset")
     before = variety(measure, idx, d)
     after = variety(measure, np.append(idx, a), d)
     return MonotonicityResult(after >= before - MONOTONICITY_TOLERANCE, before, after)

@@ -28,7 +28,15 @@ from stylemix.core import (
     Store,
     instance_to_json,
 )
-from stylemix.errors import VerificationError
+from stylemix.errors import (
+    BudgetExceededError,
+    InfeasibleError,
+    InfeasiblePlanError,
+    MalformedInputError,
+    ValidationError,
+    VerificationError,
+    Violation,
+)
 from stylemix.experiments import demo_instance
 from stylemix.solver import EXACT_SIZE_LIMIT
 
@@ -659,6 +667,26 @@ class TestSeeds:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (MalformedInputError("style 'a' has a zero vector"), 2, "error: "),
+        (ValidationError([Violation("min_exceeds_planned", "a0", "min_qty=9")]), 2, "error: "),
+        (InfeasibleError("supply short"), 3, "infeasible: "),
+        (InfeasiblePlanError([Violation("store_band", "s0", "total=9")]), 3, "infeasible: "),
+        (BudgetExceededError("no plan within 5 patterns"), 4, "budget exceeded: "),
+    ],
+    ids=["malformed", "validation", "infeasible", "infeasible-plan", "budget"],
+)
+def test_each_error_class_has_one_exit_code(monkeypatch, catalog_path, capsys, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_distances", fail)
+    assert main(["distances", "--catalog", str(catalog_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
+
+
 def _run_cli(argv, env_extra=None):
     env = dict(os.environ)
     env.pop("STYLEMIX_SEED", None)
@@ -721,6 +749,31 @@ class TestSubprocess:
         )
         assert result.returncode == 2
         assert result.stderr == b"error: distance matrix has non-finite entries\n"
+
+    @pytest.mark.parametrize("rows", [("1e200,0", "-1e200,1"), ("1e-320,0", "0,1e-320")], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("command", ["distances", "solve"])
+    def test_unrepresentable_norm_exits_2_without_a_warning(self, tmp_path, rows, command):
+        # Squaring 1e200 overflows and squaring 1e-320 underflows, so
+        # neither norm can scale its vector to unit length.
+        catalog = tmp_path / "catalog.csv"
+        rows += ("0,2", "0,3")
+        catalog.write_text("".join(f"a{i},{row}\n" for i, row in enumerate(rows)), encoding="utf-8")
+        if command == "distances":
+            argv = ["distances", "--catalog", str(catalog), "--normalize"]
+        else:
+            instance = tmp_path / "instance.json"
+            distances = {"catalog_ref": catalog.name, "normalize": True}
+            instance.write_text(json.dumps(_line_payload_with(("distances",), distances)), encoding="utf-8")
+            argv = ["solve", "--instance", str(instance)]
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stylemix", *argv],
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            b"error: style 'a0' has an L2 norm that cannot be represented and cannot be normalized\n"
+        )
 
     def test_solve_bytes_identical_across_runs(self, demo_path, tmp_path):
         outs = []

@@ -9,7 +9,7 @@ import pytest
 
 from stylemix import experiments
 from stylemix.core import DistanceMatrix, Metric, distance_matrix
-from stylemix.errors import PopulationTooSmallError, VerificationError
+from stylemix.errors import MalformedInputError, VerificationError
 from stylemix.experiments import (
     LinearityConfig,
     baseline_allocate,
@@ -93,7 +93,7 @@ class TestRunLinearity:
 
     def test_population_too_small(self):
         pop = synthetic_population(4, dim=2, seed=0)
-        with pytest.raises(PopulationTooSmallError):
+        with pytest.raises(MalformedInputError, match="population has 4 styles but a subset of 5"):
             run_linearity(LinearityConfig(population=distance_matrix(pop), subset_sizes=(5,)))
 
     @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Source hygiene: every module uses each name it imports and has each
 name it exports, each public name has one import path, every private
-module-level name has a user, only ``core`` reads an instance's band
-methods, only ``validate_instance`` reads the integer range and no
-module imports scipy when it loads."""
+module-level name has a user, every exception class is raised or
+caught, only ``core`` reads an instance's band methods, only
+``validate_instance`` reads the integer range and no module imports
+scipy when it loads."""
 
 import ast
 import importlib
@@ -120,6 +121,30 @@ def test_private_names_are_referenced_elsewhere():
         if everywhere[name] - _references(node)[name] <= 0
     ]
     assert unused == [], f"private names nothing else in src/ refers to: {unused}"
+
+
+def test_each_error_class_is_raised_or_caught():
+    # One class per exit code: a class nothing raises and no except in the
+    # CLI names is a second spelling of an error that one already reports.
+    errors = importlib.import_module("stylemix.errors")
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == errors.__name__
+    }
+    raised = {
+        node.exc.func.id
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+    }
+    caught = set()
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    unused = sorted(classes - raised - caught)
+    assert unused == [], f"errors.py classes nothing in src/ raises and no except in cli.py names: {unused}"
 
 
 def _readers(tree: ast.Module, attrs: set[str]):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylemix.core import DistanceMatrix, FeatureCatalog, Metric, distance_matrix
-from stylemix.errors import EmptySubsetError, SubsetIndexError
+from stylemix.errors import MalformedInputError
 from stylemix.variety import (
     MONOTONICITY_TOLERANCE,
     VarietyMeasure,
@@ -85,19 +85,26 @@ class TestFrozenValues:
 
 class TestSubsetValidation:
     def test_empty_subset_rejected(self):
-        with pytest.raises(EmptySubsetError):
+        with pytest.raises(MalformedInputError, match="variety is undefined for an empty subset"):
             variety(VarietyMeasure.MAX_MEAN, (), FROZEN_D)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(SubsetIndexError):
+        with pytest.raises(MalformedInputError, match=r"index 4 outside \[0, 4\)"):
             variety(VarietyMeasure.MAX_MEAN, (0, 4), FROZEN_D)
+        # A non-integer index is rejected, not truncated to one in range.
+        for subset in ([0.9, 2.7], np.array([0.5, 1.5, 2.5]), (True, 2), ("1", 2)):
+            with pytest.raises(MalformedInputError, match=r"index .+ is not an integer"):
+                variety(VarietyMeasure.MAX_MEAN, subset, FROZEN_D)
+        with pytest.raises(MalformedInputError, match=r"index 2\.9 is not an integer"):
+            check_monotonicity(VarietyMeasure.MAX_MEAN, FROZEN_D, (0, 1), 2.9)
+        for ints in (np.array([0, 2]), np.array([2, 0], dtype=np.uint8)):
+            assert variety(VarietyMeasure.MAX_MEAN, ints, FROZEN_D) == variety(
+                VarietyMeasure.MAX_MEAN, (0, 2), FROZEN_D
+            )
 
     def test_negative_rejected(self):
-        with pytest.raises(SubsetIndexError):
+        with pytest.raises(MalformedInputError, match=r"index -1 outside \[0, 4\)"):
             variety(VarietyMeasure.MAX_MEAN, (-1,), FROZEN_D)
-
-    def test_subset_index_error_is_index_error(self):
-        assert issubclass(SubsetIndexError, IndexError)
 
 
 class TestAgainstOracle:
@@ -143,12 +150,12 @@ class TestAgainstOracle:
 
 class TestMarginalGain:
     def test_gain_rejects_member(self):
-        with pytest.raises(SubsetIndexError):
+        with pytest.raises(MalformedInputError, match="added index 1 is already in the subset"):
             check_monotonicity(VarietyMeasure.MAX_MEAN, FROZEN_D, (0, 1), 1)
 
     @pytest.mark.parametrize("added", [-1, 4])
     def test_gain_rejects_index_outside_matrix(self, added):
-        with pytest.raises(SubsetIndexError, match=rf"index {added} outside \[0, 4\)"):
+        with pytest.raises(MalformedInputError, match=rf"index {added} outside \[0, 4\)"):
             check_monotonicity(VarietyMeasure.MAX_MEAN, FROZEN_D, (0, 1), added)
 
 
