@@ -235,12 +235,17 @@ class FeatureCatalog:
     def normalized(self) -> "FeatureCatalog":
         """Return a copy with every vector scaled to unit L2 norm.
 
+        A norm that ``np.linalg.norm`` overflows or underflows (a 1e160 or
+        1e-320 coordinate) is taken as m * norm(v / m), m = max |v_i|.
+
         Raises:
-            MalformedInputError: A style's norm is zero, or overflows or
-                underflows to a value the division cannot use.
+            MalformedInputError: A style's norm is zero or exceeds a float.
         """
         with np.errstate(over="ignore", under="ignore"):
             norms = np.linalg.norm(self.vectors, axis=1)
+            redo = ~(np.isfinite(norms) & (norms > 0.0)) & self.vectors.any(axis=1)
+            m = np.abs(self.vectors[redo]).max(axis=1, keepdims=True)
+            norms[redo] = m[:, 0] * np.linalg.norm(self.vectors[redo] / m, axis=1)
         bad = np.nonzero(~(np.isfinite(norms) & (norms > 0.0)))[0]
         if bad.size:
             i = int(bad[0])

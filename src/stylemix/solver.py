@@ -5,9 +5,9 @@ style set) depends only on the assignment indicators y, never on the
 shipped quantities x. Both solvers therefore search over assignment
 patterns and delegate quantity placement to a flow subproblem:
 
-    quantity_feasible   decides, for a fixed pattern, whether integer
-                        quantities exist inside all bounds, returning
-                        either the quantities or a certificate cut
+    quantity_feasible   decides, for a fixed 0/1 article-by-store
+                        pattern y, whether integer quantities exist
+                        inside all bounds, returning x or a cut
     solve_exact         depth-first enumeration of per-store subsets,
                         listed once with numpy, pruned by a completion
                         bound that prices each article's supply limit
@@ -59,7 +59,6 @@ from .variety import VarietyMeasure, variety
 
 __all__ = [
     "EXACT_SIZE_LIMIT",
-    "AssignmentPattern",
     "SolveStatus",
     "SolveLimits",
     "HeuristicConfig",
@@ -78,50 +77,6 @@ OBJECTIVE_TOLERANCE = 1e-9
 _TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentPattern:
-    """Binary article-by-store assignment matrix.
-
-    Every store must be assigned at least two distinct styles; the
-    constructor raises ``MalformedInputError`` for anything else.
-    """
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.int8)
-        if y.ndim != 2:
-            raise MalformedInputError("pattern must be a 2-D matrix")
-        if not np.all((y == 0) | (y == 1)):
-            raise MalformedInputError("pattern entries must be 0 or 1")
-        counts = y.sum(axis=0)
-        short = np.nonzero(counts < 2)[0]
-        if short.size:
-            raise MalformedInputError(
-                f"store {int(short[0])} is assigned {int(counts[short[0]])} "
-                "styles; every store needs at least 2"
-            )
-        y = y.copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_sets(cls, n_articles: int, sets: list[set[int]] | list[frozenset[int]]) -> "AssignmentPattern":
-        y = np.zeros((n_articles, len(sets)), dtype=np.int8)
-        for s, members in enumerate(sets):
-            for i in members:
-                y[i, s] = 1
-        return cls(y)
-
-    @property
-    def n_articles(self) -> int:
-        return int(self.y.shape[0])
-
-    @property
-    def n_stores(self) -> int:
-        return int(self.y.shape[1])
-
-
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     FEASIBLE_HEURISTIC = "feasible_heuristic"
@@ -129,11 +84,10 @@ class SolveStatus(Enum):
 
 
 def _count(value, name: str) -> int:
-    """A config count as an int; a float, text or other non-integer raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """A config count as an int; a bool, float, text or other non-integer raises ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -209,11 +163,13 @@ class SolveReport:
         }
 
 
-def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern) -> QuantityResult:
-    """Decide whether a pattern admits integer shipment quantities.
+def quantity_feasible(instance: DistributionInstance, y) -> QuantityResult:
+    """Decide whether the pattern ``y`` admits integer shipment quantities.
 
-    Bounds enforced: per assigned pair, min_qty <= x_is <= big_m(s);
-    per article, total shipped <= planned_total; per store, the total
+    ``y`` is any 0/1 array-like of the instance's shape; a store may hold
+    any number of styles (the two-style rule is the plan's). Bounds
+    enforced: per assigned pair, min_qty <= x_is <= big_m(s); per
+    article, total shipped <= planned_total; per store, the total
     received lies in the integer quantity band. Unassigned pairs ship 0.
 
     Returns:
@@ -222,25 +178,34 @@ def quantity_feasible(instance: DistributionInstance, pattern: AssignmentPattern
         explains the obstruction.
 
     Raises:
+        MalformedInputError: ``y`` is not a 0/1 matrix of that shape.
         ValueError: Bounds that ``flow.feasible_circulation`` rejects.
     """
-    if pattern.n_articles != instance.n_articles or pattern.n_stores != instance.n_stores:
+    y = np.asarray(y)
+    if y.ndim != 2:
+        raise MalformedInputError("pattern must be a 2-D matrix")
+    if y.shape != (instance.n_articles, instance.n_stores):
         raise MalformedInputError(
-            f"pattern is {pattern.n_articles}x{pattern.n_stores} but the instance "
+            f"pattern is {y.shape[0]}x{y.shape[1]} but the instance "
             f"has {instance.n_articles} articles and {instance.n_stores} stores"
         )
-    return feasible_circulation(instance, pattern.y)
+    if not np.all((y == 0) | (y == 1)):
+        raise MalformedInputError("pattern entries must be 0 or 1")
+    return feasible_circulation(instance, y)
+
+
+def _pattern(n_articles: int, members) -> np.ndarray:
+    """The int8 pattern y with y[i, t] = 1 for each article i in members[t]."""
+    y = np.zeros((n_articles, len(members)), dtype=np.int8)
+    for t, articles in enumerate(members):
+        for i in articles:
+            y[i, t] = 1
+    return y
 
 
 def _store_varieties(instance: DistributionInstance, y: np.ndarray) -> list[float]:
-    values = []
-    for t in range(y.shape[1]):
-        members = np.nonzero(y[:, t])[0]
-        if members.size == 0:
-            values.append(0.0)
-        else:
-            values.append(variety(VarietyMeasure.MAX_MEAN, members, instance.distances))
-    return values
+    columns = (np.flatnonzero(y[:, t]) for t in range(y.shape[1]))
+    return [variety(VarietyMeasure.MAX_MEAN, c, instance.distances) if c.size else 0.0 for c in columns]
 
 
 def plan_from_quantities(instance: DistributionInstance, x: np.ndarray) -> DistributionPlan:
@@ -491,14 +456,13 @@ def solve_exact(
     lexicographically smallest row-major y wins, so the result does not
     depend on the visiting order.
 
-    Each complete pattern's quantities are checked once, on an int8 ``y``
-    built from the stores' chosen article lists. An even split of each
-    article's spare units (``flow.split_feasible``, on the instance's
-    ``bounds``) proves most feasible patterns at once; the rest go to
-    ``quantity_feasible``, and the last failure's cut certificate is the
-    one an InfeasibleError carries. An AssignmentPattern is made only for
-    such a flow check and for the winner, whose quantities one flow call
-    after the search finds.
+    Each complete pattern's quantities are checked once, on the int8
+    ``y`` that ``_pattern`` builds from the stores' chosen article lists.
+    An even split of each article's spare units (``flow.split_feasible``,
+    on the instance's ``bounds``) proves most feasible patterns at once;
+    the rest go to ``quantity_feasible``, and the last failure's cut
+    certificate is the one an InfeasibleError carries. The winner's
+    quantities come from one more flow call after the search.
 
     ``limits.time_budget`` is checked while listing candidate subsets,
     between pricing steps and on entry to every search node;
@@ -572,11 +536,9 @@ def solve_exact(
                 out_of_budget = True
                 return
             checked += 1
-            y = np.zeros((n, s), dtype=np.int8)
-            for u, combo in enumerate(chosen):
-                y[combo, u] = 1
+            y = _pattern(n, chosen)
             if not split_feasible(y, instance.bounds):
-                result = quantity_feasible(instance, AssignmentPattern(y))
+                result = quantity_feasible(instance, y)
                 if not result.feasible:
                     last_certificate = result.certificate
                     return
@@ -631,7 +593,7 @@ def solve_exact(
         ) from None
 
     if best_y is not None:
-        plan = plan_from_quantities(instance, quantity_feasible(instance, AssignmentPattern(best_y)).x)
+        plan = plan_from_quantities(instance, quantity_feasible(instance, best_y).x)
         status = SolveStatus.FEASIBLE_HEURISTIC if out_of_budget else SolveStatus.OPTIMAL
         return SolveReport(plan, status, checked, time.perf_counter() - started)
     if out_of_budget:
@@ -647,6 +609,7 @@ def solve_exact(
 class _SearchState:
     """Mutable pattern state for construction and local search.
 
+    ``pattern()`` is the int8 ``y`` of the store sets ``sets[t]``.
     ``left[i]`` counts the stores article i can still serve, as in the
     exact search: planned_i // min_i less the stores that hold it.
     ``apply(drops, adds)`` makes a move given as (store, article) pairs
@@ -717,8 +680,8 @@ class _SearchState:
         """``fits``, plus a store left for i (swaps and moves add no store)."""
         return self.left[i] > 0 and self.fits(t, i)
 
-    def pattern(self) -> AssignmentPattern:
-        return AssignmentPattern.from_sets(self.n, self.sets)
+    def pattern(self) -> np.ndarray:
+        return _pattern(self.n, self.sets)
 
 
 def _gain_chooser(state: _SearchState, priority, gain_driven: bool = True):

@@ -25,7 +25,6 @@ from stylemix.core import (
     distance_matrix,
 )
 from stylemix.experiments import synthetic_population
-from stylemix.solver import AssignmentPattern
 from stylemix.variety import VarietyMeasure
 
 _ACCEPTANCE_RESULTS: list[tuple[int, str, bool, float]] = []
@@ -158,7 +157,15 @@ def adversarial_instance(seed: int) -> DistributionInstance:
     )
 
 
-def random_micro_case(seed: int) -> tuple[DistributionInstance, AssignmentPattern]:
+def pattern_y(n_articles: int, sets) -> np.ndarray:
+    """The int8 article-by-store pattern whose column t holds sets[t]."""
+    y = np.zeros((n_articles, len(sets)), dtype=np.int8)
+    for t, members in enumerate(sets):
+        y[list(members), t] = 1
+    return y
+
+
+def random_micro_case(seed: int) -> tuple[DistributionInstance, np.ndarray]:
     """Small instance and pattern pair; feasibility is not arranged."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     n = int(rng.integers(2, 5))
@@ -183,25 +190,23 @@ def random_micro_case(seed: int) -> tuple[DistributionInstance, AssignmentPatter
     for t in range(s):
         k = int(rng.integers(2, n + 1))
         y[rng.choice(n, size=k, replace=False), t] = 1
-    return instance, AssignmentPattern(y)
+    return instance, y
 
 
-def dp_quantity_feasible(
-    instance: DistributionInstance, pattern: AssignmentPattern
-) -> bool:
+def dp_quantity_feasible(instance: DistributionInstance, y: np.ndarray) -> bool:
     """Exhaustive feasibility oracle via DP on per-store running totals.
 
     Processes articles one at a time; a state is the tuple of store
     totals so far. Nothing here touches the flow formulation.
     """
-    n, s = pattern.n_articles, pattern.n_stores
+    n, s = y.shape
     lbs = [instance.lower_band(t) for t in range(s)]
     ubs = [instance.upper_band(t) for t in range(s)]
     caps = [instance.big_m(t) for t in range(s)]
     states: set[tuple[int, ...]] = {tuple([0] * s)}
     for i in range(n):
         article = instance.articles[i]
-        assigned = [t for t in range(s) if pattern.y[i, t]]
+        assigned = [t for t in range(s) if y[i, t]]
         options: list[tuple[int, ...]] = []
 
         def expand(pos: int, acc: list[int], used: int):

@@ -12,7 +12,8 @@ the first run that differs.
 
 Each run contributes its status, the objective as ``float.hex``, a hash
 of ``x``, the iteration count, or the error's type, message and
-certificate ``repr``. The corpus:
+certificate ``repr``; a run that returns a bare plan contributes
+``plan``, its objective and the hash of its ``x``. The corpus:
 
 - ``solve_exact`` on the demo, ``random_feasible_instance`` 0-199,
   ``adversarial_instance`` 0-119, and without limits on the 8x12 and
@@ -21,7 +22,9 @@ certificate ``repr``. The corpus:
 - ``solve_heuristic`` with seeds 0 and 1 on ``random_feasible_instance``
   0-299, ``adversarial_instance`` 0-299, ``random_micro_case`` 0-399 and
   ``random_feasible_instance`` 5000-5299 with ``n_range=(5, 12)``,
-  ``s_range=(2, 6)``.
+  ``s_range=(2, 6)``;
+- then, on the same four heuristic families, ``baseline_allocate`` and
+  ``improve_plan`` (default config) of the baseline's plan.
 """
 
 from __future__ import annotations
@@ -42,8 +45,15 @@ from conftest import (  # noqa: E402
     recipe_instance,
 )
 from stylemix.errors import StylemixError  # noqa: E402
-from stylemix.experiments import demo_instance  # noqa: E402
-from stylemix.solver import HeuristicConfig, SolveLimits, solve_exact, solve_heuristic  # noqa: E402
+from stylemix.experiments import baseline_allocate, demo_instance  # noqa: E402
+from stylemix.solver import (  # noqa: E402
+    HeuristicConfig,
+    SolveLimits,
+    SolveReport,
+    improve_plan,
+    solve_exact,
+    solve_heuristic,
+)
 
 
 def outcome(solve, instance) -> str:
@@ -53,7 +63,10 @@ def outcome(solve, instance) -> str:
     except StylemixError as exc:
         certificate = getattr(exc, "certificate", None)
         return f"{type(exc).__name__}|{exc}|{certificate!r}"
-    x = hashlib.sha256(report.plan.x.tobytes() + repr(report.plan.x.shape).encode()).hexdigest()
+    plan = report.plan if isinstance(report, SolveReport) else report
+    x = hashlib.sha256(plan.x.tobytes() + repr(plan.x.shape).encode()).hexdigest()
+    if plan is report:
+        return f"plan|{plan.objective.hex()}|{x[:16]}"
     return f"{report.status.value}|{report.objective.hex()}|{x[:16]}|{report.iterations}"
 
 
@@ -91,6 +104,15 @@ def corpus():
                     lambda inst, config=config: solve_heuristic(inst, config),
                     instance,
                 )
+    for family, make, seeds in families:
+        for seed in seeds:
+            instance = make(seed)
+            yield f"baseline {family} {seed}", baseline_allocate, instance
+            yield (
+                f"improve {family} {seed}",
+                lambda inst: improve_plan(inst, baseline_allocate(inst)),
+                instance,
+            )
 
 
 def main() -> None:

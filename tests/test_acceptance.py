@@ -149,9 +149,9 @@ def test_solver_oracle_equivalence():
         assert matches >= 90, f"heuristic matched exact on only {matches} of 100"
 
         for seed in range(100):
-            instance, pattern = random_micro_case(seed)
-            flow_verdict = quantity_feasible(instance, pattern).feasible
-            search_verdict = dp_quantity_feasible(instance, pattern)
+            instance, y = random_micro_case(seed)
+            flow_verdict = quantity_feasible(instance, y).feasible
+            search_verdict = dp_quantity_feasible(instance, y)
             assert flow_verdict == search_verdict, seed
 
 

@@ -8,6 +8,7 @@ through real subprocesses because that is the contract users see.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -687,6 +688,25 @@ def test_each_error_class_has_one_exit_code(monkeypatch, catalog_path, capsys, e
     assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
+def _normalize_catalog(tmp_path, rows, command):
+    """Run ``distances --normalize`` on the catalog rows, or ``solve`` on an
+    instance that normalizes them, with RuntimeWarnings as errors."""
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("".join(f"a{i},{row}\n" for i, row in enumerate(rows)), encoding="utf-8")
+    if command == "distances":
+        argv = ["distances", "--catalog", str(catalog), "--normalize"]
+    else:
+        instance = tmp_path / "instance.json"
+        distances = {"catalog_ref": catalog.name, "normalize": True}
+        instance.write_text(json.dumps(_line_payload_with(("distances",), distances)), encoding="utf-8")
+        argv = ["solve", "--instance", str(instance)]
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stylemix", *argv],
+        capture_output=True,
+        timeout=60,
+    )
+
+
 def _run_cli(argv, env_extra=None):
     env = dict(os.environ)
     env.pop("STYLEMIX_SEED", None)
@@ -750,30 +770,37 @@ class TestSubprocess:
         assert result.returncode == 2
         assert result.stderr == b"error: distance matrix has non-finite entries\n"
 
-    @pytest.mark.parametrize("rows", [("1e200,0", "-1e200,1"), ("1e-320,0", "0,1e-320")], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("rows", [("1.5e308,1.5e308", "-1,1")], ids=["overflow"])
     @pytest.mark.parametrize("command", ["distances", "solve"])
     def test_unrepresentable_norm_exits_2_without_a_warning(self, tmp_path, rows, command):
-        # Squaring 1e200 overflows and squaring 1e-320 underflows, so
-        # neither norm can scale its vector to unit length.
-        catalog = tmp_path / "catalog.csv"
-        rows += ("0,2", "0,3")
-        catalog.write_text("".join(f"a{i},{row}\n" for i, row in enumerate(rows)), encoding="utf-8")
-        if command == "distances":
-            argv = ["distances", "--catalog", str(catalog), "--normalize"]
-        else:
-            instance = tmp_path / "instance.json"
-            distances = {"catalog_ref": catalog.name, "normalize": True}
-            instance.write_text(json.dumps(_line_payload_with(("distances",), distances)), encoding="utf-8")
-            argv = ["solve", "--instance", str(instance)]
-        result = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "stylemix", *argv],
-            capture_output=True,
-            timeout=60,
-        )
+        # The norm of (1.5e308, 1.5e308) is about 2.1e308, above the
+        # largest float, so the vector cannot be scaled to unit length.
+        result = _normalize_catalog(tmp_path, rows + ("0,2", "0,3"), command)
         assert result.returncode == 2
         assert result.stderr == (
             b"error: style 'a0' has an L2 norm that cannot be represented and cannot be normalized\n"
         )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [("1e160,0", "-1e160,1e160"), ("1e200,0", "-1e200,1"), ("1e-320,0", "0,1e-320")],
+        ids=["1e160", "overflow", "underflow"],
+    )
+    @pytest.mark.parametrize("command", ["distances", "solve"])
+    def test_scaled_norm_normalizes_without_a_warning(self, tmp_path, rows, command):
+        # Squaring 1e160 or 1e200 overflows and squaring 1e-320
+        # underflows, yet each norm fits in a float.
+        rows += ("0,2", "0,3")
+        result = _normalize_catalog(tmp_path, rows, command)
+        assert (result.returncode, result.stderr) == (0, b"")
+        if command == "solve":
+            return
+        payload = json.loads(result.stdout)
+        # math.hypot scales as it sums, so it gives each norm directly.
+        vectors = [[float(v) for v in row.split(",")] for row in rows]
+        units = np.array([[v / math.hypot(*row) for v in row] for row in vectors])
+        expected = ((units[:, None, :] - units[None, :, :]) ** 2).sum(axis=2)
+        assert np.allclose(np.reshape(payload["entries"], (4, 4)), expected, rtol=0, atol=1e-12)
 
     def test_solve_bytes_identical_across_runs(self, demo_path, tmp_path):
         outs = []

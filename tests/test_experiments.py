@@ -23,7 +23,6 @@ from stylemix.experiments import (
 from stylemix.core import validate_instance
 from stylemix.solver import (
     EXACT_SIZE_LIMIT,
-    AssignmentPattern,
     HeuristicConfig,
     SolveReport,
     SolveStatus,
@@ -35,7 +34,7 @@ from stylemix.solver import (
 )
 from stylemix.variety import VarietyMeasure
 
-from conftest import random_feasible_instance
+from conftest import pattern_y, random_feasible_instance
 
 
 class TestSyntheticPopulation:
@@ -263,7 +262,7 @@ class TestBaseline:
         # Each store gets one close pair: objective 3.0, against the
         # baseline's 69.8 on the demo.
         instance = demo_instance()
-        pairs = AssignmentPattern.from_sets(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}, {4, 5}, {0, 1}])
+        pairs = pattern_y(8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}, {4, 5}, {0, 1}])
         low = plan_from_quantities(instance, quantity_feasible(instance, pairs).x)
         report = SolveReport(low, SolveStatus.FEASIBLE_HEURISTIC, 0, 0.0)
         monkeypatch.setattr(experiments, "solve_heuristic", lambda *args: report)

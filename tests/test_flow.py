@@ -16,7 +16,7 @@ from stylemix.flow import (
     feasible_circulation,
     split_feasible,
 )
-from stylemix.solver import AssignmentPattern, quantity_feasible
+from stylemix.solver import quantity_feasible
 
 from conftest import (
     adversarial_instance,
@@ -109,7 +109,7 @@ class TestFeasibleCirculation:
         # Unvalidated instances: the checks name the record, not a node.
         instance = make_instance([planned, 5], [min_qty, 1], [4], alpha)
         with pytest.raises(ValueError, match=name):
-            quantity_feasible(instance, AssignmentPattern.from_sets(2, [{0, 1}]))
+            quantity_feasible(instance, np.ones((2, 1), dtype=np.int8))
 
 
 class TestCutCertificates:
@@ -142,7 +142,7 @@ class TestCutCertificates:
             y = np.zeros((n, s), dtype=np.int8)
             for t in range(s):
                 y[rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False), t] = 1
-            result = quantity_feasible(instance, AssignmentPattern(y))
+            result = quantity_feasible(instance, y)
             cert = result.certificate
             if result.feasible:
                 seen["feasible"] += 1
@@ -186,20 +186,19 @@ class TestSplitFeasible:
         # totals would be too many). It must prove many patterns, and
         # miss some the flow finds feasible.
         proven, missed = [], 0
-        for instance, pattern in map(random_micro_case, range(400)):
-            if split_feasible(pattern.y, instance.bounds):
-                proven.append((instance, pattern.y))
+        for instance, y in map(random_micro_case, range(400)):
+            if split_feasible(y, instance.bounds):
+                proven.append((instance, y))
             else:
-                missed += quantity_feasible(instance, pattern).feasible
+                missed += quantity_feasible(instance, y).feasible
         proven += proven_leaves(monkeypatch)
         by_oracle = 0
         for instance, y in proven:
-            pattern = AssignmentPattern(y)
             if math.prod(instance.upper_band(t) + 1 for t in range(instance.n_stores)) <= 2000:
-                assert dp_quantity_feasible(instance, pattern), (instance, y)
+                assert dp_quantity_feasible(instance, y), (instance, y)
                 by_oracle += 1
             else:
-                assert quantity_feasible(instance, pattern).feasible, (instance, y)
+                assert quantity_feasible(instance, y).feasible, (instance, y)
         assert by_oracle >= 200 and len(proven) - by_oracle >= 100
         assert missed >= 5
 

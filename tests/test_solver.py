@@ -30,6 +30,7 @@ from stylemix.errors import (
 )
 from stylemix import solver
 from stylemix.experiments import (
+    LinearityConfig,
     baseline_allocate,
     demo_catalog,
     demo_instance,
@@ -38,7 +39,6 @@ from stylemix.experiments import (
 from stylemix.flow import CutCertificate, EdgeCertificate
 from stylemix.lp import export_lp
 from stylemix.solver import (
-    AssignmentPattern,
     HeuristicConfig,
     SolveLimits,
     SolveStatus,
@@ -57,6 +57,7 @@ from conftest import (
     brute_variety,
     cut_totals,
     dp_quantity_feasible,
+    pattern_y,
     random_feasible_instance,
     random_micro_case,
     recipe_instance,
@@ -74,39 +75,66 @@ def two_article_instance(**overrides) -> DistributionInstance:
     return DistributionInstance(**kwargs)
 
 
-class TestAssignmentPattern:
-    def test_single_style_column_rejected(self):
-        y = np.array([[1, 1], [0, 1]], dtype=np.int8)
-        with pytest.raises(MalformedInputError, match="store 0 is assigned 1 styles; every store"):
-            AssignmentPattern(y)
-
-    def test_non_binary_rejected(self):
-        y = np.array([[2, 1], [1, 1]], dtype=np.int8)
-        with pytest.raises(MalformedInputError):
-            AssignmentPattern(y)
-
-    def test_from_sets(self):
-        pattern = AssignmentPattern.from_sets(3, [{0, 2}, {1, 2}])
-        assert pattern.y.T.tolist() == [[1, 0, 1], [0, 1, 1]]
+def linearity_config(**overrides) -> LinearityConfig:
+    return LinearityConfig(population=distance_matrix(synthetic_population(4, dim=2, seed=0)), **overrides)
 
 
 class TestQuantityFeasible:
     def test_trivial_split(self):
         inst = two_article_instance()
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         assert result.feasible
         assert result.x.sum(axis=0).tolist() == [5, 5]
         assert np.all(result.x >= 1)
 
     def test_pattern_of_wrong_shape_rejected(self):
         with pytest.raises(MalformedInputError, match="pattern is 2x1 but the instance"):
-            quantity_feasible(two_article_instance(), AssignmentPattern.from_sets(2, [{0, 1}]))
+            quantity_feasible(two_article_instance(), pattern_y(2, [{0, 1}]))
+
+    def test_non_binary_rejected(self):
+        y = np.array([[2, 1], [1, 1]], dtype=np.int8)
+        with pytest.raises(MalformedInputError, match="pattern entries must be 0 or 1"):
+            quantity_feasible(two_article_instance(), y)
+
+    def test_pattern_that_is_not_a_matrix_rejected(self):
+        with pytest.raises(MalformedInputError, match="pattern must be a 2-D matrix"):
+            quantity_feasible(two_article_instance(), [1, 1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda y: y.astype(bool),
+            lambda y: y.astype(np.int64),
+            lambda y: y.tolist(),
+        ],
+        ids=["bool", "int64", "nested-lists"],
+    )
+    def test_any_array_like_gives_the_int8_verdict(self, convert):
+        for seed in range(60):
+            instance, y = random_micro_case(seed)
+            expected = quantity_feasible(instance, y)
+            result = quantity_feasible(instance, convert(y))
+            assert result.feasible == expected.feasible, seed
+            assert repr(result.certificate) == repr(expected.certificate), seed
+            if expected.feasible:
+                assert np.array_equal(result.x, expected.x), seed
+
+    def test_store_with_one_style_gets_a_verdict(self):
+        # The two-style rule is the plan's: the flow check decides the
+        # quantities of a store holding one style like any other.
+        inst = two_article_instance()
+        result = quantity_feasible(inst, pattern_y(2, [{0}, {0, 1}]))
+        assert result.feasible
+        assert result.x[:, 0].tolist() == [5, 0]
+        assert result.x.sum(axis=0).tolist() == [5, 5]
+        violations = plan_violations(inst, plan_from_quantities(inst, result.x))
+        assert [v.code for v in violations] == ["too_few_styles"]
 
     def test_respects_planned_totals(self):
         inst = two_article_instance(
             articles=(Article("a0", 3, 1), Article("a1", 16, 1))
         )
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         assert result.feasible
         assert result.x[0].sum() <= 3
 
@@ -114,7 +142,7 @@ class TestQuantityFeasible:
         inst = two_article_instance(
             articles=(Article("a0", 16, 9), Article("a1", 16, 1))
         )
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         assert not result.feasible
         cert = result.certificate
         assert isinstance(cert, EdgeCertificate)
@@ -133,7 +161,7 @@ class TestQuantityFeasible:
             alpha=Fraction(0),
             distances=DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
         )
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         assert not result.feasible
         cert = result.certificate
         assert isinstance(cert, CutCertificate)
@@ -153,7 +181,7 @@ class TestQuantityFeasible:
             alpha=Fraction(0),
             distances=DistanceMatrix(d),
         )
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(3, [{0, 1, 2}]))
+        result = quantity_feasible(inst, pattern_y(3, [{0, 1, 2}]))
         assert not result.feasible
         cert = result.certificate
         assert isinstance(cert, CutCertificate)
@@ -168,9 +196,9 @@ class TestQuantityFeasible:
     def test_matches_dp_oracle_on_random_micro_cases(self):
         agree_feasible = agree_infeasible = 0
         for seed in range(120):
-            instance, pattern = random_micro_case(seed)
-            expected = dp_quantity_feasible(instance, pattern)
-            result = quantity_feasible(instance, pattern)
+            instance, y = random_micro_case(seed)
+            expected = dp_quantity_feasible(instance, y)
+            result = quantity_feasible(instance, y)
             assert result.feasible == expected, f"seed {seed}"
             if expected:
                 agree_feasible += 1
@@ -184,13 +212,13 @@ class TestQuantityFeasible:
     def test_cut_certificates_are_violated_cuts(self):
         checked = 0
         for seed in range(120):
-            instance, pattern = random_micro_case(seed)
-            result = quantity_feasible(instance, pattern)
+            instance, y = random_micro_case(seed)
+            result = quantity_feasible(instance, y)
             if result.feasible or not isinstance(result.certificate, CutCertificate):
                 continue
             cert = result.certificate
             assert cert.required > cert.available
-            assert cut_totals(instance, pattern.y, cert) == (cert.required, cert.available)
+            assert cut_totals(instance, y, cert) == (cert.required, cert.available)
             checked += 1
         assert checked >= 10
 
@@ -205,7 +233,7 @@ class TestQuantityFeasible:
             alpha=Fraction("0.2"),
             distances=DistanceMatrix(d),
         )
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(4, [{0, 1, 2, 3}]))
+        result = quantity_feasible(inst, pattern_y(4, [{0, 1, 2, 3}]))
         assert result.feasible
         assert plan_violations(inst, plan_from_quantities(inst, result.x)) == []
 
@@ -218,7 +246,7 @@ class TestQuantityFeasible:
             distances=DistanceMatrix(d),
         )
         with pytest.raises(ValueError):
-            quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}]))
+            quantity_feasible(inst, pattern_y(2, [{0, 1}]))
 
     def test_witness_quantities_are_feasible(self):
         for seed in range(40):
@@ -226,7 +254,7 @@ class TestQuantityFeasible:
             plan = plan_from_quantities(instance, x)
             assert plan_violations(instance, plan) == []
             y = (x >= 1).astype(np.int8)
-            result = quantity_feasible(instance, AssignmentPattern(y))
+            result = quantity_feasible(instance, y)
             assert result.feasible, f"seed {seed}"
 
 
@@ -246,14 +274,14 @@ def brute_force_optimum(instance) -> tuple[float, tuple[int, ...]] | None:
     n, s = instance.n_articles, instance.n_stores
     feasible = []
     for column_sets in all_patterns(n, s):
-        pattern = AssignmentPattern.from_sets(n, [set(c) for c in column_sets])
-        if not quantity_feasible(instance, pattern).feasible:
+        y = pattern_y(n, column_sets)
+        if not quantity_feasible(instance, y).feasible:
             continue
         value = sum(
             brute_variety(VarietyMeasure.MAX_MEAN, c, instance.distances.entries)
             for c in column_sets
         )
-        feasible.append((value, tuple(int(v) for v in pattern.y.reshape(-1))))
+        feasible.append((value, tuple(int(v) for v in y.reshape(-1))))
     if not feasible:
         return None
     best = max(value for value, _ in feasible)
@@ -546,9 +574,9 @@ class TestSolveExact:
         y = report.plan.y
         candidates = []
         for column_sets in all_patterns(2, 2):
-            pattern = AssignmentPattern.from_sets(2, [set(c) for c in column_sets])
+            pattern = pattern_y(2, column_sets)
             if quantity_feasible(inst, pattern).feasible:
-                candidates.append(tuple(int(v) for v in pattern.y.reshape(-1)))
+                candidates.append(tuple(int(v) for v in pattern.reshape(-1)))
         assert tuple(int(v) for v in y.reshape(-1)) == min(candidates)
 
     def test_instance_without_stores_is_an_empty_optimum(self):
@@ -810,17 +838,23 @@ class TestInputChecks:
             (lambda: HeuristicConfig(max_iters=2.5), "max_iters"),
             (lambda: HeuristicConfig(restarts=2.5), "restarts"),
             (lambda: SolveLimits(max_patterns=2.5), "max_patterns"),
+            pytest.param(lambda: HeuristicConfig(max_iters=True), "max_iters", id="max_iters-True"),
+            pytest.param(lambda: HeuristicConfig(restarts=True), "restarts", id="restarts-True"),
+            pytest.param(lambda: SolveLimits(max_patterns=True), "max_patterns", id="max_patterns-True"),
+            pytest.param(lambda: linearity_config(subset_sizes=(2, True)), "subset sizes", id="subset_sizes-True"),
+            pytest.param(lambda: linearity_config(repetitions=True), "repetitions", id="repetitions-True"),
         ],
     )
-    def test_non_integer_count_rejected(self, config, field_name):
-        with pytest.raises(ValueError, match=f"{field_name} must be an integer, got 2.5"):
+    def test_non_integer_count_rejected(self, config, field_name, request):
+        shown = "True" if request.node.callspec.id.endswith("-True") else "2.5"
+        with pytest.raises(ValueError, match=f"^{field_name} must be an integer, got {shown}$"):
             config()
 
 
 class TestPlanChecks:
     def test_variety_mismatch_detected(self):
         inst = two_article_instance()
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         plan = plan_from_quantities(inst, result.x)
         doctored = plan.__class__(
             x=plan.x, per_store_variety=(9.0, plan.per_store_variety[1])
@@ -860,6 +894,6 @@ class TestPlanChecks:
 
     def test_evaluate_plan_returns_objective(self):
         inst = two_article_instance()
-        result = quantity_feasible(inst, AssignmentPattern.from_sets(2, [{0, 1}, {0, 1}]))
+        result = quantity_feasible(inst, pattern_y(2, [{0, 1}, {0, 1}]))
         plan = plan_from_quantities(inst, result.x)
         assert evaluate_plan(inst, plan) == pytest.approx(2.0, abs=1e-9)
