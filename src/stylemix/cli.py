@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -72,7 +73,9 @@ EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared: parse with it, do not change it."""
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
         "--seed",
@@ -365,8 +368,7 @@ def cmd_experiment(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "distances": cmd_distances,
         "solve": cmd_solve,

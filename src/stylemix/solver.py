@@ -181,7 +181,10 @@ def quantity_feasible(instance: DistributionInstance, y) -> QuantityResult:
         MalformedInputError: ``y`` is not a 0/1 matrix of that shape.
         ValueError: Bounds that ``flow.feasible_circulation`` rejects.
     """
-    y = np.asarray(y)
+    try:
+        y = np.asarray(y)
+    except ValueError:  # a ragged nested list
+        raise MalformedInputError("pattern must be a 2-D matrix") from None
     if y.ndim != 2:
         raise MalformedInputError("pattern must be a 2-D matrix")
     if y.shape != (instance.n_articles, instance.n_stores):
@@ -307,8 +310,9 @@ def evaluate_plan(instance: DistributionInstance, plan: DistributionPlan) -> flo
     return float(sum(_store_varieties(instance, plan.y)))
 
 
-# Subsets per listing chunk, which bounds the scoring's working memory
-# (12-subsets: 20k x 12 x 12 doubles, 23 MB).
+# Subsets per listing chunk, which bounds its working memory (12-subsets:
+# 20k x 12 x 12 scores, 23 MB). With s > k stores a chunk of k-subsets
+# holds k/s as many, so its rows x k x s store tests keep that bound.
 _CHUNK_ROWS = 20_000
 # Subgradient steps of the supply pricing.
 _PRICE_STEPS = 300
@@ -327,47 +331,50 @@ def _store_candidates(
     band, and the combined per-pair caps can still cover its lower band.
     Variety ties keep size-then-lexicographic order. One listing of the
     styles usable in some store, up to the largest size any store admits,
-    is scored in numpy chunks and serves every store; each store keeps
-    the rows that pass its own tests. Raises BudgetExceededError once the
+    serves every store: each numpy chunk tests all stores in one rows x
+    stores expression and scores the rows some store keeps, and one sort
+    orders them for all stores. Raises BudgetExceededError once the
     ``time.perf_counter`` value ``deadline`` has passed, checked per chunk
-    and before each store's sort, and InfeasibleError for a store without
+    and before the sort, and InfeasibleError for a store without
     admissible subsets.
     """
     n, s = instance.n_articles, instance.n_stores
     mins, planned, caps, lowers, uppers = instance.bounds
     # An article whose min_qty exceeds a store's cap weighs more than the
     # store's upper band, so no subset that holds it passes the weight test.
-    weights = [np.where(mins <= cap, mins, upper + 1) for cap, upper in zip(caps, uppers)]
-    covers = [np.minimum(planned, cap) for cap in caps]
+    weights = np.where(mins[:, None] <= caps, mins[:, None], uppers + 1)  # articles x stores
+    covers = np.minimum(planned[:, None], caps)
     bit = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 64 else object)
     listed = [i for i in range(n) if mins[i] <= max(caps, default=0)]  # usable in some store
     # Subsets larger than the count of smallest weights that fit under the
     # upper band would all fail a store's weight test below.
     max_size = max(
-        (np.count_nonzero(np.cumsum(np.sort(w)) <= u) for w, u in zip(weights, uppers)), default=0
+        (np.count_nonzero(np.cumsum(np.sort(w)) <= u) for w, u in zip(weights.T, uppers)), default=0
     )
-    parts = [[(np.empty(0), np.empty(0, bit.dtype))] for _ in range(s)]
+    parts = [(np.empty(0), np.empty(0, bit.dtype), np.empty((0, s), bool))]
     for k in range(2, max_size + 1):
+        rows = max(1, _CHUNK_ROWS * k // max(k, s))
         combos = itertools.combinations(listed, k)
-        for _ in range(0, math.comb(len(listed), k), _CHUNK_ROWS):
+        for _ in range(0, math.comb(len(listed), k), rows):
             if time.perf_counter() > deadline:
                 raise BudgetExceededError("time budget ran out while listing style subsets")
-            chunk = itertools.chain.from_iterable(itertools.islice(combos, _CHUNK_ROWS))
+            chunk = itertools.chain.from_iterable(itertools.islice(combos, rows))
             c = np.fromiter(chunk, dtype=np.intp).reshape(-1, k)
+            keep = (weights[c].sum(axis=1) <= uppers) & (covers[c].sum(axis=1) >= lowers)
+            used = keep.any(axis=1)  # rows some store keeps
+            c, keep = c[used], keep[used]
             values = instance.distances.entries[c[:, :, None], c[:, None, :]].sum((1, 2)) / 2 / k
-            for t in range(s):
-                keep = weights[t][c].sum(axis=1) <= uppers[t]
-                keep &= covers[t][c].sum(axis=1) >= lowers[t]
-                parts[t].append((values[keep], bit[c[keep]].sum(axis=1)))
+            parts.append((values, bit[c].sum(axis=1), keep))
+    if time.perf_counter() > deadline:
+        raise BudgetExceededError("time budget ran out while listing style subsets")
+    values, masks, keep = map(np.concatenate, zip(*parts))
+    order = np.argsort(-values, kind="stable")
+    values, masks = values[order], masks[order]
     out = []
-    for t, part in enumerate(parts):
-        if time.perf_counter() > deadline:
-            raise BudgetExceededError("time budget ran out while listing style subsets")
-        values, masks = map(np.concatenate, zip(*part))
-        if not values.size:
+    for t, kept in enumerate(keep[order].T):
+        if not kept.any():
             raise InfeasibleError(f"store {instance.stores[t].id!r} has no admissible style subset")
-        order = np.argsort(-values, kind="stable")
-        out.append((values[order], masks[order]))
+        out.append((values[kept], masks[kept]))
     return out
 
 
@@ -383,40 +390,76 @@ def _supply_prices(
     keep the lam with the lowest L; the run is deterministic and stops
     at the deadline. lam is 0 when every count covers all stores.
 
-    Each step prices the concatenated rows with one matrix product and
-    copies them into a stores x widest-store table padded with -inf, whose
-    ``argmax(axis=1)`` is each store's first top subset. The product runs
-    on the unpadded rows because BLAS may round a row differently when
-    the row count changes.
+    Stores share most subsets, so each step prices each distinct subset
+    once, by one matrix product, and reads the stores' rows through a
+    stores x widest-store index table whose padding points at a -inf
+    sentinel; its ``argmax(axis=1)`` is each store's first top subset.
+    BLAS may round a row's product in the last bit by its position, so a
+    price can differ from the same row's among all stores' rows; only
+    prices or bounds within a few ulps could then order differently. The
+    costs returned are the product over all stores' rows.
     """
     n = len(counts)
     if np.all(counts >= len(candidates)):
         return np.zeros(n), [np.zeros(len(values)) for values, _ in candidates]
     sizes = [len(values) for values, _ in candidates]
-    starts = np.cumsum([0, *sizes[:-1]])
     values = np.concatenate([values for values, _ in candidates])
     masks = np.concatenate([masks for _, masks in candidates])
-    members = (masks[:, None] >> np.arange(n) & 1).astype(float)
-    table = np.full((len(sizes), max(sizes)), -math.inf)
-    slots = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    _, first, subset = np.unique(masks, return_index=True, return_inverse=True)
+    rows = (masks[:, None] >> np.arange(n) & 1).astype(float)
+    members, worth, stores = rows[first], values[first], np.arange(len(sizes))
+    table = np.full((len(sizes), max(sizes)), len(first))
+    table[np.arange(max(sizes)) < np.array(sizes)[:, None]] = subset
+    priced = np.full(len(first) + 1, -math.inf)
     counts = counts.astype(float)  # exact, and no cast in every step
     lam = best_lam = np.zeros(n)
     step, best = float(values.max()) / 4, math.inf
     for k in range(_PRICE_STEPS):
         if time.perf_counter() > deadline:
             break
-        priced = values - members @ lam
-        table[slots] = priced
-        first = table.argmax(axis=1) + starts
-        bound = priced[first].sum() + lam @ counts
+        np.subtract(worth, members @ lam, out=priced[:-1])
+        top = table[stores, priced[table].argmax(axis=1)]
+        bound = priced[top].sum() + lam @ counts
         if bound < best:
             best, best_lam = bound, lam
-        g = counts - members[first].sum(axis=0)
+        g = counts - members[top].sum(axis=0)
         norm2 = g @ g  # zero exactly when g is: its entries are whole numbers
         if not norm2:
             break
         lam = np.maximum(0.0, lam - step * 0.97**k / math.sqrt(norm2) * g)
-    return best_lam, np.split(members @ best_lam, starts[1:])
+    return best_lam, np.split(rows @ best_lam, np.cumsum(sizes[:-1]))
+
+
+def _free_bests(values: np.ndarray, masks: np.ndarray, priced: np.ndarray, n: int):
+    """One store's best value and best priced value among its rows avoiding an
+    article bitmask, as a function of the mask; -inf for both if none does.
+    Per article, a Python int holds the bits of the rows avoiding it, in value
+    and in priced order: the first row avoiding every blocked article is the
+    lowest set bit of their AND. Built on the first nonzero mask, if any."""
+    avoiding: dict[int, tuple[int, int]] = {}  # article bit -> rows avoiding it, both orders
+    ranked: list[list[float]] = []  # values, and priced values in priced order
+
+    def best(blocked: int) -> tuple[float, float]:
+        if not blocked:
+            return float(values[0]), float(priced.max())
+        if not avoiding:
+            order = np.argsort(-priced, kind="stable")
+            free = (masks[:, None] >> np.arange(n) & 1).T == 0  # articles x rows
+            packed = (np.packbits(part, axis=1, bitorder="little") for part in (free, free[:, order]))
+            by_value, by_price = ([int.from_bytes(row.tobytes(), "little") for row in p] for p in packed)
+            avoiding.update((1 << i, pair) for i, pair in enumerate(zip(by_value, by_price)))
+            ranked.extend((values.tolist(), priced[order].tolist()))
+        first = cheapest = -1
+        while blocked:
+            low = blocked & -blocked
+            by_value, by_price = avoiding[low]
+            first, cheapest, blocked = first & by_value, cheapest & by_price, blocked ^ low
+        if not first:
+            return -math.inf, -math.inf
+        plain, cheap = ranked
+        return plain[(first & -first).bit_length() - 1], cheap[(cheapest & -cheapest).bit_length() - 1]
+
+    return best
 
 
 # Largest n_articles * n_stores that auto_mode sends to solve_exact.
@@ -443,7 +486,8 @@ def solve_exact(
     bitmask of the articles with none left, whose subsets are skipped.
     The memoized ``suffix(t, blocked)`` sums over the later stores their
     best value, and their best value net of the ``_supply_prices`` lam,
-    among the subsets avoiding the mask, which only grows with depth.
+    among the subsets avoiding the mask, which only grows with depth; each
+    store answers from ``_free_bests``' row bitsets.
     Every completion is bounded by the smaller of the plain sum and the
     priced sum plus the credit sum_i lam_i (stores left for i).
     A store's remaining subsets are cut once the bound falls below the
@@ -485,7 +529,7 @@ def solve_exact(
     counts = instance.bounds[1] // instance.bounds[0]
     candidates = _store_candidates(instance, deadline)
     lam, costs = _supply_prices(candidates, counts, deadline)
-    priced = [values - cost for (values, _), cost in zip(candidates, costs)]
+    bests = [_free_bests(v, m, v - cost, n) for (v, m), cost in zip(candidates, costs)]
     converted: list[list[tuple[float, float, int]]] = [[] for _ in range(s)]
 
     def rows(t: int):
@@ -510,12 +554,9 @@ def solve_exact(
             return 0.0, 0.0
         level = memo[t]
         if blocked not in level:
-            values, masks = candidates[t]
-            free = (masks & blocked) == 0
-            first = int(free.argmax())
-            plain, cheap = suffix(t + 1, blocked) if free[first] else (-math.inf, -math.inf)
-            best_priced = np.maximum.reduce(priced[t], where=free, initial=-math.inf)
-            level[blocked] = (plain + float(values[first]), cheap + float(best_priced))
+            value, cheapest = bests[t](blocked)
+            plain, cheap = suffix(t + 1, blocked) if value > -math.inf else (-math.inf, -math.inf)
+            level[blocked] = (plain + value, cheap + cheapest)
         return level[blocked]
 
     best_value = -math.inf

@@ -970,3 +970,21 @@ def test_parser_exposes_documented_defaults():
     assert args.dim == 16
     assert args.reps == 1000
     assert args.sizes == "2..20"
+
+
+def test_main_calls_in_one_process_match_separate_processes(demo_path, line_path, tmp_path, capsys):
+    # main parses with one parser per process: a flag given to one call
+    # must not carry over to the next, which relies on the defaults.
+    runs = [
+        ["solve", "--instance", str(demo_path), "--mode", "heuristic", "--seed", "3", "--max-iters", "2", "--restarts", "2"],
+        ["solve", "--instance", str(demo_path), "--mode", "heuristic"],
+        ["experiment", "--kind", "baseline", "--instance", str(line_path), "--seed", "4"],
+        ["experiment", "--kind", "baseline", "--instance", str(line_path)],
+    ]
+    for k, argv in enumerate(runs):
+        assert main([*argv, "--output", str(tmp_path / f"in-{k}")]) == 0
+    capsys.readouterr()
+    for k, argv in enumerate(runs):
+        assert _run_cli([*argv, "--output", str(tmp_path / f"out-{k}")]).returncode == 0
+        assert (tmp_path / f"in-{k}").read_bytes() == (tmp_path / f"out-{k}").read_bytes(), argv
+    assert (tmp_path / "in-0").read_bytes() != (tmp_path / "in-1").read_bytes()

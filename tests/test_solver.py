@@ -100,6 +100,11 @@ class TestQuantityFeasible:
         with pytest.raises(MalformedInputError, match="pattern must be a 2-D matrix"):
             quantity_feasible(two_article_instance(), [1, 1, 1, 1])
 
+    def test_ragged_pattern_rejected(self):
+        # numpy cannot make an array of rows of unequal length.
+        with pytest.raises(MalformedInputError, match="pattern must be a 2-D matrix"):
+            quantity_feasible(two_article_instance(), [[1, 1], [1]])
+
     @pytest.mark.parametrize(
         "convert",
         [
@@ -367,6 +372,20 @@ def reduceat_supply_prices(candidates, counts: np.ndarray) -> tuple[np.ndarray, 
     return best_lam, np.split(members @ best_lam, starts[1:])
 
 
+def numpy_free_bests(values, masks, priced, blocked: int) -> tuple[float, float]:
+    """``solver._free_bests`` as numpy expressions over the store's rows.
+
+    The reference: the first row avoiding ``blocked`` gives the best
+    value and ``np.maximum.reduce`` over the avoiding rows the best
+    priced value; -inf for both when no row avoids it.
+    """
+    free = (masks & blocked) == 0
+    first = int(free.argmax())
+    if not free[first]:
+        return -math.inf, -math.inf
+    return float(values[first]), float(np.maximum.reduce(priced, where=free, initial=-math.inf))
+
+
 def wide_instance(n: int) -> DistributionInstance:
     """Six usable styles, the last three at positions n-3..n-1, for five stores.
 
@@ -466,27 +485,37 @@ class TestSolveExact:
         assert report.objective == objective
         assert report.iterations == checks
 
-    def test_candidate_arrays_match_the_subset_loop(self):
-        # The larger store of the last instance admits only the triple,
+    def test_candidate_arrays_match_the_subset_loop(self, monkeypatch):
+        # The larger store of the nested instance admits only the triple,
         # the smaller one all four subsets: neither store's list holds
-        # the other's.
+        # the other's. With 3 rows per chunk every listing but the
+        # smallest spans several chunks, and with more stores than styles
+        # per subset each chunk holds fewer rows.
         nested = DistributionInstance(
             articles=tuple(Article(f"a{i}", 9, 4) for i in range(3)),
             stores=(Store("s0", 24), Store("s1", 10)),
             alpha=Fraction("0.2"),
             distances=DistanceMatrix(np.array([[0.0, 1, 2], [1, 0, 3], [2, 3, 0]])),
         )
-        instances = [demo_instance(), recipe_instance(8, 3, 0), nested]
+        instances = [demo_instance(), recipe_instance(8, 3, 0), nested, wide_instance(66)]
         instances += [random_feasible_instance(seed)[0] for seed in range(200)]
-        for instance in instances:
-            for t, (values, masks) in enumerate(solver._store_candidates(instance)):
-                expected = listed_subsets(instance, t)
-                combos = [
-                    tuple(i for i in range(instance.n_articles) if mask >> i & 1)
-                    for mask in masks.tolist()
-                ]
-                assert combos == [combo for combo, _ in expected]
-                assert values.tolist() == pytest.approx([v for _, v in expected], rel=0, abs=1e-12)
+        for chunk_rows in (solver._CHUNK_ROWS, 3):
+            monkeypatch.setattr(solver, "_CHUNK_ROWS", chunk_rows)
+            with monkeypatch.context() as clock:
+                ticks = count()
+                clock.setattr(solver, "time", SimpleNamespace(perf_counter=ticks.__next__))
+                solver._store_candidates(demo_instance())
+                # The demo lists sizes 2-8: a deadline check per chunk, one before the sort.
+                assert (next(ticks) > 8) == (chunk_rows == 3)
+            for instance in instances:
+                for t, (values, masks) in enumerate(solver._store_candidates(instance)):
+                    expected = listed_subsets(instance, t)
+                    combos = [
+                        tuple(i for i in range(instance.n_articles) if mask >> i & 1)
+                        for mask in masks.tolist()
+                    ]
+                    assert combos == [combo for combo, _ in expected]
+                    assert values.tolist() == pytest.approx([v for _, v in expected], rel=0, abs=1e-12)
 
     def test_supply_prices_are_nonnegative_repeatable_and_tighten_the_demo(self):
         for instance in (demo_instance(), supply_bound_instance(), recipe_instance(10, 12, 0)):
@@ -514,6 +543,25 @@ class TestSolveExact:
             assert [cost.tobytes() for cost in costs] == [cost.tobytes() for cost in expected_costs]
             priced += lam.any()
         assert priced == len(instances) - 1
+
+    @pytest.mark.parametrize(
+        "instance",
+        [demo_instance(), recipe_instance(8, 12, 0), recipe_instance(10, 12, 0), wide_instance(66)],
+        ids=["demo", "8x12", "10x12", "wide-66"],
+    )
+    def test_free_row_bitsets_match_the_numpy_bound(self, instance):
+        # Bit for bit: suffix sums these bests into the search's bounds.
+        candidates = solver._store_candidates(instance)
+        _, costs = solver._supply_prices(candidates, instance.bounds[1] // instance.bounds[0])
+        n = instance.n_articles
+        rng = np.random.default_rng(0)
+        draws = [0, (1 << n) - 1, *(1 << i for i in range(n))]
+        draws += [sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < rng.random())) for _ in range(300)]
+        for (values, masks), cost in zip(candidates, costs):
+            priced = values - cost
+            best = solver._free_bests(values, masks, priced, n)
+            for blocked in draws:
+                assert best(blocked) == numpy_free_bests(values, masks, priced, blocked), blocked
 
     def test_articles_beyond_64_bits_of_mask(self):
         # Article 65's bit does not fit an int64 mask, so the listing,
@@ -630,7 +678,7 @@ class TestSolveExact:
 
     def test_listing_checks_the_deadline_before_sorting(self, monkeypatch):
         # The demo lists each size in one chunk: the seven chunk checks
-        # read ticks 1-7, the check before the first store's sort reads 8.
+        # read ticks 1-7, the check before the sort reads 8.
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=count(1).__next__))
         with pytest.raises(BudgetExceededError, match="while listing style subsets"):
             solver._store_candidates(demo_instance(), deadline=7.5)
