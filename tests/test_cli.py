@@ -975,9 +975,10 @@ def test_parser_exposes_documented_defaults():
 def test_main_calls_in_one_process_match_separate_processes(demo_path, line_path, tmp_path, capsys):
     # main parses with one parser per process: a flag given to one call
     # must not carry over to the next, which relies on the defaults.
+    solve = ["solve", "--instance", str(demo_path), "--mode", "heuristic"]
     runs = [
-        ["solve", "--instance", str(demo_path), "--mode", "heuristic", "--seed", "3", "--max-iters", "2", "--restarts", "2"],
-        ["solve", "--instance", str(demo_path), "--mode", "heuristic"],
+        [*solve, "--seed", "3", "--max-iters", "2", "--restarts", "2"],
+        solve,
         ["experiment", "--kind", "baseline", "--instance", str(line_path), "--seed", "4"],
         ["experiment", "--kind", "baseline", "--instance", str(line_path)],
     ]

@@ -545,18 +545,26 @@ class TestSolveExact:
         assert priced == len(instances) - 1
 
     @pytest.mark.parametrize(
-        "instance",
-        [demo_instance(), recipe_instance(8, 12, 0), recipe_instance(10, 12, 0), wide_instance(66)],
+        "build",
+        [
+            demo_instance,
+            lambda: recipe_instance(8, 12, 0),
+            lambda: recipe_instance(10, 12, 0),
+            lambda: wide_instance(66),
+        ],
         ids=["demo", "8x12", "10x12", "wide-66"],
     )
-    def test_free_row_bitsets_match_the_numpy_bound(self, instance):
+    def test_free_row_bitsets_match_the_numpy_bound(self, build):
         # Bit for bit: suffix sums these bests into the search's bounds.
+        instance = build()
         candidates = solver._store_candidates(instance)
         _, costs = solver._supply_prices(candidates, instance.bounds[1] // instance.bounds[0])
         n = instance.n_articles
         rng = np.random.default_rng(0)
         draws = [0, (1 << n) - 1, *(1 << i for i in range(n))]
-        draws += [sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < rng.random())) for _ in range(300)]
+        draws += [
+            sum(1 << int(i) for i in np.flatnonzero(rng.random(n) < rng.random())) for _ in range(300)
+        ]
         for (values, masks), cost in zip(candidates, costs):
             priced = values - cost
             best = solver._free_bests(values, masks, priced, n)
